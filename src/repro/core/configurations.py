@@ -29,7 +29,9 @@ from ..policies.registry import resolve_policy
 from ..policies.surfaces import Policy
 from ..power.energy import penalty_percent, savings_percent
 from ..sim.system import ServerSystem, SystemResult
+from ..vmin.model import VminModel
 from ..workloads.generator import ServerWorkloadGenerator, Workload
+from . import replay_memo
 from .policy import VminPolicyTable
 
 #: Configuration names in the paper's table order.
@@ -70,11 +72,55 @@ def run_configuration(
     trace_period_s: Optional[float] = 1.0,
     fault_policy: str = "record",
 ) -> SystemResult:
-    """Replay one workload under one configuration on a fresh chip."""
+    """Replay one workload under one configuration on a fresh chip.
+
+    Inside an orchestrated batch the replay is memoized
+    (:mod:`repro.core.replay_memo`): an identical earlier replay of the
+    batch is returned instead of re-simulated.
+    """
     spec = get_spec(platform)
-    chip = Chip(spec, silicon_seed=silicon_seed)
+    memo_dir = replay_memo.active_dir()
+    if memo_dir is None:
+        return _replay(
+            spec, workload, config, silicon_seed, policy, trace_period_s,
+            fault_policy,
+        )
+    # Key on the table the policy will actually consume, so an implicit
+    # table and an identical explicit one share one replay.
+    if policy is None:
+        policy = VminPolicyTable.from_characterization(spec)
+    key = replay_memo.replay_key(
+        spec,
+        VminModel(spec, silicon_seed=silicon_seed),
+        workload,
+        CONFIG_POLICY_KEYS.get(config, config),
+        silicon_seed,
+        policy,
+        trace_period_s,
+        fault_policy,
+    )
+    return replay_memo.recall(
+        memo_dir,
+        key,
+        lambda: _replay(
+            spec, workload, config, silicon_seed, policy, trace_period_s,
+            fault_policy,
+        ),
+    )
+
+
+def _replay(
+    spec: ChipSpec,
+    workload: Workload,
+    config: str,
+    silicon_seed: int,
+    policy: Optional[VminPolicyTable],
+    trace_period_s: Optional[float],
+    fault_policy: str,
+) -> SystemResult:
+    """One replay on a fresh chip (the unmemoized body)."""
     system = ServerSystem(
-        chip,
+        Chip(spec, silicon_seed=silicon_seed),
         workload,
         policy=make_policy(spec, config, policy=policy),
         trace_period_s=trace_period_s,
@@ -155,6 +201,13 @@ def run_evaluation(
     if "baseline" not in configs:
         raise ConfigurationError(
             "the evaluation needs the baseline for relative savings"
+        )
+    if not workload.jobs:
+        raise ConfigurationError(
+            f"the {workload.duration_s:.0f} s workload generated for "
+            f"platform {platform!r} with seed {workload.seed} has no "
+            f"jobs; the relative savings need a non-empty baseline "
+            f"(choose another seed or a longer duration)"
         )
     policy = VminPolicyTable.from_characterization(spec)
     results = {

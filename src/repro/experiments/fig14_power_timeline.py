@@ -12,9 +12,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..analysis.tables import format_table
-from ..core.configurations import run_evaluation
+from ..core.configurations import run_configuration
+from ..core.policy import VminPolicyTable
+from ..platform.specs import get_spec
 from ..sim.tracing import TimelineTrace
-from ..workloads.generator import Workload
+from ..workloads.generator import ServerWorkloadGenerator, Workload
 
 
 @dataclass
@@ -79,20 +81,26 @@ def run(
     """Replay one workload under Baseline and ``config``, keeping traces.
 
     ``config`` is a paper configuration name or any policy registry key
-    (the paper's figure compares against Optimal).
+    (the paper's figure compares against Optimal). The figure needs no
+    relative savings, so unlike
+    :func:`~repro.core.configurations.run_evaluation` it also accepts
+    a workload without jobs.
     """
-    evaluation = run_evaluation(
-        platform,
-        duration_s=duration_s,
-        seed=seed,
-        configs=("baseline", config),
-        workload=workload,
+    spec = get_spec(platform)
+    if workload is None:
+        workload = ServerWorkloadGenerator(
+            max_cores=spec.n_cores, seed=seed
+        ).generate(duration_s)
+    table = VminPolicyTable.from_characterization(spec)
+    baseline, other = (
+        run_configuration(platform, workload, name, policy=table)
+        for name in ("baseline", config)
     )
     return Fig14Result(
-        platform=evaluation.platform,
-        workload=evaluation.workload,
-        baseline_trace=evaluation.results["baseline"].trace,
-        optimal_trace=evaluation.results[config].trace,
+        platform=spec.name,
+        workload=workload,
+        baseline_trace=baseline.trace,
+        optimal_trace=other.trace,
         config=config,
     )
 

@@ -15,7 +15,10 @@ a process pool instead:
 * every worker shares the characterization cache
   (:mod:`repro.vmin.cache`): in-memory within a process, and through
   the on-disk store across processes when a ``cache_dir`` is given, so
-  repeated safe-Vmin campaigns across figures are not re-simulated.
+  repeated safe-Vmin campaigns across figures are not re-simulated;
+* every batch shares one replay memo (:mod:`repro.core.replay_memo`):
+  a private temporary directory, removed when the batch ends, through
+  which each distinct workload replay of the batch runs once.
 
 The CLI front-end is ``repro run-all --jobs N --cache-dir PATH``; the
 per-module ``main()`` entry points also route through
@@ -25,6 +28,7 @@ per-module ``main()`` entry points also route through
 from __future__ import annotations
 
 import importlib
+import tempfile
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -32,6 +36,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .. import telemetry
 from ..analysis.tables import format_table
+from ..core import replay_memo
 from ..errors import ConfigurationError
 from ..telemetry import names as metric_names
 from ..telemetry.metrics import Snapshot
@@ -158,8 +163,13 @@ def _execute(
     cache_dir: Optional[str],
     collect_telemetry: bool = False,
     policy: Optional[str] = None,
+    replay_dir: Optional[str] = None,
 ) -> ExperimentOutcome:
-    """Run one experiment in the current process (pool worker body)."""
+    """Run one experiment in the current process (pool worker body).
+
+    ``replay_dir`` is the batch's replay memo directory; ``None`` (a
+    single experiment outside a batch) replays everything.
+    """
     ensure_default_cache(cache_dir)
     entry = get_entry(name)
     module = importlib.import_module(entry.module_path)
@@ -173,17 +183,18 @@ def _execute(
     before = cache.stats.snapshot()
     metrics: Optional[Snapshot] = None
     started = time.perf_counter()
-    if collect_telemetry:
-        # Fresh registry per experiment, so the snapshot attributes
-        # every metric to exactly one experiment even when several run
-        # in the same worker process.
-        with telemetry.session() as registry:
-            with telemetry.span(metric_names.ORCH_EXPERIMENT_SPAN):
-                output = renderer(**kwargs)
-            cache.publish_telemetry()
-            metrics = registry.snapshot()
-    else:
-        output = renderer(**kwargs)
+    with replay_memo.activated(replay_dir):
+        if collect_telemetry:
+            # Fresh registry per experiment, so the snapshot attributes
+            # every metric to exactly one experiment even when several
+            # run in the same worker process.
+            with telemetry.session() as registry:
+                with telemetry.span(metric_names.ORCH_EXPERIMENT_SPAN):
+                    output = renderer(**kwargs)
+                cache.publish_telemetry()
+                metrics = registry.snapshot()
+        else:
+            output = renderer(**kwargs)
     elapsed = time.perf_counter() - started
     return ExperimentOutcome(
         name=entry.name,
@@ -232,6 +243,10 @@ def run_experiments(
     the orchestrator-level snapshot (:attr:`RunSummary.metrics`) —
     queue depth and busy-worker samples, the completed-experiment
     counter and the run wall-time span.
+
+    Each distinct workload replay runs once per batch: experiments share
+    them through a replay memo in a private temporary directory, which
+    is removed when the batch returns or raises.
     """
     if jobs < 1:
         raise ConfigurationError("jobs must be >= 1")
@@ -242,19 +257,21 @@ def run_experiments(
     registry_index = {entry.name: i for i, entry in enumerate(REGISTRY)}
     started = time.perf_counter()
     run_metrics: Optional[Snapshot] = None
-    if collect_telemetry:
-        with telemetry.session() as registry:
-            with telemetry.span(metric_names.ORCH_RUN_SPAN):
-                outcomes = _run_schedule(
-                    schedule, jobs, platform, duration_s, seed, cache_dir,
-                    registry_index, True, policy,
-                )
-            run_metrics = registry.snapshot()
-    else:
-        outcomes = _run_schedule(
-            schedule, jobs, platform, duration_s, seed, cache_dir,
-            registry_index, False, policy,
-        )
+    with tempfile.TemporaryDirectory(prefix="repro-replay-") as replay_dir:
+        if collect_telemetry:
+            with telemetry.session() as registry:
+                with telemetry.span(metric_names.ORCH_RUN_SPAN):
+                    outcomes = _run_schedule(
+                        schedule, jobs, platform, duration_s, seed,
+                        cache_dir, registry_index, True, policy,
+                        replay_dir,
+                    )
+                run_metrics = registry.snapshot()
+        else:
+            outcomes = _run_schedule(
+                schedule, jobs, platform, duration_s, seed, cache_dir,
+                registry_index, False, policy, replay_dir,
+            )
     return RunSummary(
         jobs=jobs,
         elapsed_s=time.perf_counter() - started,
@@ -273,6 +290,7 @@ def _run_schedule(
     registry_index: Dict[str, int],
     collect_telemetry: bool,
     policy: Optional[str] = None,
+    replay_dir: Optional[str] = None,
 ) -> Dict[str, ExperimentOutcome]:
     """Dispatch ``schedule`` serially or over the pool."""
     if jobs == 1 or len(schedule) == 1:
@@ -283,13 +301,13 @@ def _run_schedule(
             )
             outcomes[entry.name] = _execute(
                 entry.name, platform, duration_s, seed, cache_dir,
-                collect_telemetry, policy,
+                collect_telemetry, policy, replay_dir,
             )
             telemetry.inc(metric_names.ORCH_EXPERIMENTS_COMPLETED)
         return outcomes
     return _run_pool(
         schedule, jobs, platform, duration_s, seed, cache_dir,
-        registry_index, collect_telemetry, policy,
+        registry_index, collect_telemetry, policy, replay_dir,
     )
 
 
@@ -303,6 +321,7 @@ def _run_pool(
     registry_index: Dict[str, int],
     collect_telemetry: bool = False,
     policy: Optional[str] = None,
+    replay_dir: Optional[str] = None,
 ) -> Dict[str, ExperimentOutcome]:
     """Topological fan-out of ``schedule`` over a process pool."""
     chosen = {entry.name for entry in schedule}
@@ -325,7 +344,7 @@ def _run_pool(
                 del waiting[name]
                 future = pool.submit(
                     _execute, name, platform, duration_s, seed, cache_dir,
-                    collect_telemetry, policy,
+                    collect_telemetry, policy, replay_dir,
                 )
                 running[future] = name
             # Scheduler-health samples; completion-order dependent, so

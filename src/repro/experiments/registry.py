@@ -41,7 +41,10 @@ class ExperimentEntry:
     #: waits for everything it summarizes, so their campaigns are warm).
     depends: Tuple[str, ...] = ()
     #: Relative cost hint in seconds; the scheduler launches costly
-    #: experiments first to minimize the parallel makespan.
+    #: experiments first to minimize the parallel makespan. The values
+    #: below are median wall times of each experiment over five serial
+    #: ``run-all --platform xgene2`` batches (``RunSummary.outcomes``),
+    #: floored at 0.01.
     cost: float = 0.1
     #: Paper platform, or ``None`` for platform-independent artefacts.
     default_platform: Optional[str] = None
@@ -69,7 +72,7 @@ REGISTRY: Tuple[ExperimentEntry, ...] = (
         name="fig3",
         artefact="Fig. 3 — safe-Vmin campaign",
         module="fig3_vmin_characterization",
-        cost=0.05,
+        cost=0.01,
         default_platform="xgene2",
     ),
     ExperimentEntry(
@@ -83,77 +86,77 @@ REGISTRY: Tuple[ExperimentEntry, ...] = (
         name="fig5",
         artefact="Fig. 5 — failure probability curves",
         module="fig5_pfail",
-        cost=0.02,
+        cost=0.01,
         default_platform="xgene3",
     ),
     ExperimentEntry(
         name="fig6",
         artefact="Fig. 6 — droop detections per bin",
         module="fig6_droops",
-        cost=0.02,
+        cost=0.01,
         default_platform="xgene3",
     ),
     ExperimentEntry(
         name="fig7",
         artefact="Fig. 7 — clustered vs spreaded energy",
         module="fig7_allocation_energy",
-        cost=0.02,
+        cost=0.01,
         default_platform="xgene2",
     ),
     ExperimentEntry(
         name="fig8",
         artefact="Fig. 8 — full-chip contention ratios",
         module="fig8_contention",
-        cost=0.02,
+        cost=0.01,
         default_platform="xgene3",
     ),
     ExperimentEntry(
         name="fig9",
         artefact="Fig. 9 — L3C access rates + threshold",
         module="fig9_l3c_rates",
-        cost=0.02,
+        cost=0.01,
         default_platform="xgene3",
     ),
     ExperimentEntry(
         name="fig10",
         artefact="Fig. 10 — Vmin factor decomposition",
         module="fig10_factors",
-        cost=0.02,
+        cost=0.01,
         default_platform="xgene2",
     ),
     ExperimentEntry(
         name="fig11",
         artefact="Fig. 11 — energy across configurations",
         module="fig11_energy",
-        cost=0.02,
+        cost=0.01,
         default_platform="xgene2",
     ),
     ExperimentEntry(
         name="fig12",
         artefact="Fig. 12 — ED2P across configurations",
         module="fig12_ed2p",
-        cost=0.02,
+        cost=0.01,
         default_platform="xgene2",
     ),
     ExperimentEntry(
         name="table2",
         artefact="Table II — droop classes and safe Vmin",
         module="table2",
-        cost=0.05,
+        cost=0.01,
         default_platform="xgene3",
     ),
     ExperimentEntry(
         name="fig13",
         artefact="Fig. 13 — traced daemon decision flow",
         module="fig13_flow",
-        cost=0.1,
+        cost=0.03,
         default_platform="xgene2",
     ),
     ExperimentEntry(
         name="fig14",
         artefact="Fig. 14 — Baseline vs Optimal power",
         module="fig14_power_timeline",
-        cost=0.7,
+        cost=0.12,
         default_platform="xgene3",
         timed=True,
     ),
@@ -161,7 +164,7 @@ REGISTRY: Tuple[ExperimentEntry, ...] = (
         name="fig15",
         artefact="Fig. 15 — load and process classes",
         module="fig15_load_timeline",
-        cost=0.7,
+        cost=0.01,
         default_platform="xgene3",
         timed=True,
     ),
@@ -172,7 +175,7 @@ REGISTRY: Tuple[ExperimentEntry, ...] = (
             "four-configuration evaluation"
         ),
         module="tables34",
-        cost=0.7,
+        cost=0.13,
         render_name="render_table3",
         timed=True,
     ),
@@ -183,7 +186,7 @@ REGISTRY: Tuple[ExperimentEntry, ...] = (
             "four-configuration evaluation"
         ),
         module="tables34",
-        cost=1.1,
+        cost=0.4,
         render_name="render_table4",
         timed=True,
     ),
@@ -191,7 +194,7 @@ REGISTRY: Tuple[ExperimentEntry, ...] = (
         name="variation",
         artefact="extension: chip-to-chip variation & golden-die risk",
         module="variation_study",
-        cost=2.7,
+        cost=0.56,
         default_platform="xgene2",
         timed=True,
     ),
@@ -199,7 +202,7 @@ REGISTRY: Tuple[ExperimentEntry, ...] = (
         name="thermal",
         artefact="extension: junction temperature, leakage, thermal guard",
         module="thermal_study",
-        cost=5.0,
+        cost=0.61,
         default_platform="xgene3",
         timed=True,
     ),
@@ -221,7 +224,7 @@ REGISTRY: Tuple[ExperimentEntry, ...] = (
             "table3",
             "table4",
         ),
-        cost=2.2,
+        cost=0.09,
         timed=True,
     ),
 )

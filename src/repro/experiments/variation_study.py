@@ -166,18 +166,25 @@ def run(
             cores_for(spec, spec.n_cores, Allocation.CLUSTERED),
             worst_profile.vmin_delta_mv,
         )
+        own_violations = _daemon_violations(
+            spec, seed, own_policy, duration_s, workload_seed
+        )
+        # The golden die's own table is its foreign table too: both are
+        # characterized on the same Vmin model, so one replay serves both.
+        foreign_violations = (
+            own_violations
+            if seed == golden_seed
+            else _daemon_violations(
+                spec, seed, golden_policy, duration_s, workload_seed
+            )
+        )
         result.records.append(
             ChipRecord(
                 silicon_seed=seed,
                 single_core_vmin_mv=_worst_single_core_vmin(spec, model),
                 full_chip_vmin_mv=full_chip,
-                own_table_violations=_daemon_violations(
-                    spec, seed, own_policy, duration_s, workload_seed
-                ),
-                foreign_table_violations=_daemon_violations(
-                    spec, seed, golden_policy, duration_s,
-                    workload_seed,
-                ),
+                own_table_violations=own_violations,
+                foreign_table_violations=foreign_violations,
             )
         )
     return result

@@ -98,6 +98,22 @@ class PowerBreakdown:
             + self.external_w
         )
 
+    def total_with_leakage_w(self, leakage_multiplier: float) -> Watts:
+        """:attr:`total_w` with the leakage term scaled.
+
+        For a breakdown evaluated at ``leakage_multiplier=1.0`` this is
+        bit-identical to :meth:`PowerModel.chip_power` at
+        ``leakage_multiplier``: the leakage product and the summation
+        order are the ones the full evaluation uses.
+        """
+        return (
+            self.dynamic_w
+            + self.leakage_w * leakage_multiplier
+            + self.pmd_overhead_w
+            + self.uncore_w
+            + self.external_w
+        )
+
 
 class PowerModel:
     """Evaluates chip power for an operating point and per-core loads."""

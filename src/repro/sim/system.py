@@ -51,7 +51,7 @@ from ..platform.thermal import ThermalModel
 from ..policies.actuation import apply_action
 from ..policies.surfaces import Action, Observation, Policy, PolicyEvent
 from ..power.energy import EnergyMeter, ed2p
-from ..power.model import PowerModel
+from ..power.model import PowerBreakdown, PowerModel
 from ..vmin.droop import DroopModel
 from ..vmin.model import VminModel
 from ..workloads.generator import Workload
@@ -194,6 +194,9 @@ class ServerSystem:
         self._phase_events: Dict[int, Event] = {}
         self._proc_states: Dict[int, ExecutionState] = {}
         self._power_w = 0.0
+        #: Power breakdown of the last recompute at leakage multiplier
+        #: 1.0 (thermal runs on the incremental path only).
+        self._power_base: Optional[PowerBreakdown] = None
         self._pending_arrivals = 0
         self._crashed = False
         #: Events dispatched per kind + policy dispatch invocations;
@@ -584,10 +587,12 @@ class ServerSystem:
 
         * occupancy / per-PMD clock / behaviour-profile changes — full
           recompute (contention couples every process to every other);
-        * rail-voltage changes (and thermal coupling) — power and the
-          safety audit only; execution states are voltage-independent;
+        * rail-voltage changes — power and the safety audit only;
+          execution states are voltage-independent;
         * nothing changed — completion times (the clock advanced) and
-          the safety audit against the cached safe-Vmin level.
+          the safety audit against the cached safe-Vmin level; with a
+          thermal model also the leakage term of the cached power
+          breakdown, the only part of power temperature moves.
         """
         if self.full_refresh:
             self._refreshes_full += 1
@@ -617,9 +622,11 @@ class ServerSystem:
             self._state = state
             self._recompute_power(state)
         elif self.thermal is not None:
-            # Temperature moves every interval: leakage and the thermal
-            # Vmin shift must track it even on otherwise-clean refreshes.
-            self._recompute_power(state)
+            # Temperature moves every interval, but only the leakage
+            # multiplier depends on it: rescale the cached breakdown.
+            self._power_w = self._power_base.total_with_leakage_w(
+                self.thermal.leakage_multiplier()
+            )
         self._reschedule_completions(self._running)
         self._audit_cached(state)
 
@@ -692,17 +699,26 @@ class ServerSystem:
         self._audit_voltage(state, running)
 
     def _recompute_power(self, state: ChipState) -> None:
-        leak_multiplier = (
-            self.thermal.leakage_multiplier()
-            if self.thermal is not None
-            else 1.0
-        )
-        self._power_w = self.power_model.chip_power(
-            state,
-            self._activity_map,
-            self._bw_util,
-            leakage_multiplier=leak_multiplier,
-        ).total_w
+        if self.thermal is None:
+            self._power_w = self.power_model.chip_power(
+                state, self._activity_map, self._bw_util
+            ).total_w
+        elif self.full_refresh:
+            self._power_w = self.power_model.chip_power(
+                state,
+                self._activity_map,
+                self._bw_util,
+                leakage_multiplier=self.thermal.leakage_multiplier(),
+            ).total_w
+        else:
+            # Evaluated at multiplier 1.0 and kept, so clean thermal
+            # refreshes only rescale its leakage term.
+            self._power_base = self.power_model.chip_power(
+                state, self._activity_map, self._bw_util
+            )
+            self._power_w = self._power_base.total_with_leakage_w(
+                self.thermal.leakage_multiplier()
+            )
 
     def _shares_pmd(self, process: SimProcess) -> bool:
         for core in process.cores:

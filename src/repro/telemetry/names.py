@@ -75,3 +75,5 @@ ORCH_QUEUE_DEPTH = "orchestrator.scheduler.queue_depth"
 ORCH_INFLIGHT = "orchestrator.scheduler.inflight"
 ORCH_EXPERIMENT_SPAN = "orchestrator.experiment.wall"
 ORCH_RUN_SPAN = "orchestrator.run.wall"
+ORCH_REPLAY_HITS = "orchestrator.replay.hits"
+ORCH_REPLAY_MISSES = "orchestrator.replay.misses"

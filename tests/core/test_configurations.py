@@ -112,6 +112,14 @@ class TestEvaluation:
                 "xgene2", duration_s=60.0, configs=("optimal",)
             )
 
+    def test_empty_workload_rejected_with_its_origin(self):
+        # Seed 304 generates no jobs in 600 s on X-Gene 3; the savings
+        # would divide by a zero baseline.
+        with pytest.raises(
+            ConfigurationError, match=r"600 s .*'xgene3' with seed 304"
+        ):
+            run_evaluation("xgene3", duration_s=600.0, seed=304)
+
     def test_row_for_unknown_config(self, small_evaluation):
         with pytest.raises(ConfigurationError):
             small_evaluation.row("turbo")

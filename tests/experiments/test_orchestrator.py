@@ -1,6 +1,8 @@
 """Tests for the experiment registry and the parallel orchestrator."""
 
 import importlib
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,9 @@ from repro.vmin.cache import reset_default_cache
 
 #: Cheap experiments used for end-to-end orchestration tests.
 FAST_SUBSET = ["table1", "fig5", "fig6"]
+
+#: Experiments sharing replays through the batch's replay memo.
+MEMO_SUBSET = ["fig14", "fig15", "table3"]
 
 
 @pytest.fixture(autouse=True)
@@ -123,6 +128,23 @@ class TestRunExperiments:
         parallel = orchestrator.run_experiments(names=FAST_SUBSET, jobs=2)
         assert parallel.merged_output() == sequential.merged_output()
 
+    def test_parallel_memo_subset_identical_to_sequential(self):
+        # On xgene2 fig15 and table3 replay fig14's runs: whichever
+        # experiment runs first simulates, the others recall its result.
+        sequential = orchestrator.run_experiments(
+            names=MEMO_SUBSET, jobs=1, platform="xgene2"
+        )
+        parallel = orchestrator.run_experiments(
+            names=MEMO_SUBSET, jobs=2, platform="xgene2"
+        )
+        assert parallel.merged_output() == sequential.merged_output()
+        unmemoized = "".join(
+            f"== {name} ==\n"
+            f"{orchestrator.render_experiment(name, platform='xgene2')}\n\n"
+            for name in MEMO_SUBSET
+        )
+        assert sequential.merged_output() == unmemoized
+
     def test_merged_output_in_requested_order(self):
         summary = orchestrator.run_experiments(
             names=["fig6", "table1"], jobs=2
@@ -171,6 +193,65 @@ class TestRunExperiments:
         assert totals.lookups == sum(
             o.cache.lookups for o in summary.outcomes
         )
+
+
+class TestReplayMemo:
+    def test_serial_run_all_replay_hits(self):
+        from repro.telemetry import names
+
+        summary = orchestrator.run_experiments(
+            jobs=1, platform="xgene2", collect_telemetry=True
+        )
+
+        def count(metric):
+            return {
+                o.name: o.metrics["counters"][metric]
+                for o in summary.outcomes
+                if metric in o.metrics["counters"]
+            }
+
+        # fig15 recalls fig14's Optimal run, table3 both fig14 runs and
+        # the report all eight Table III/IV replays.
+        hits = count(names.ORCH_REPLAY_HITS)
+        assert hits == {"fig15": 1, "table3": 2, "report": 8}
+        assert sum(hits.values()) == 11
+        assert sum(count(names.ORCH_REPLAY_MISSES).values()) == 8
+
+    @pytest.fixture
+    def batch_tmp(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        return tmp_path
+
+    def test_batch_directory_removed_after_the_batch(
+        self, batch_tmp, monkeypatch
+    ):
+        seen = []
+        execute = orchestrator._execute
+
+        def spy(*args):
+            replay_dir = args[-1]
+            seen.append(replay_dir)
+            outcome = execute(*args)
+            assert any(Path(replay_dir).glob("*.pkl"))
+            return outcome
+
+        monkeypatch.setattr(orchestrator, "_execute", spy)
+        orchestrator.run_experiments(
+            names=["fig15"], jobs=1, platform="xgene2"
+        )
+        assert seen and seen[0].startswith(str(batch_tmp))
+        assert not any(batch_tmp.iterdir())
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_batch_directory_removed_when_an_experiment_raises(
+        self, batch_tmp, jobs
+    ):
+        # Seed 304 generates an empty 600 s Table IV workload.
+        with pytest.raises(ConfigurationError, match="seed 304"):
+            orchestrator.run_experiments(
+                names=["fig5", "table4"], jobs=jobs, seed=304
+            )
+        assert not any(batch_tmp.iterdir())
 
 
 class TestWorkerEntryPoint:

@@ -24,6 +24,7 @@ from repro.perf.contention import bandwidth_utilization, contention_factor
 from repro.perf.model import bandwidth_demand_gbs, execution_state
 from repro.platform.chip import Chip
 from repro.platform.specs import xgene2_spec, xgene3_spec
+from repro.platform.thermal import ThermalModel
 from repro.power.model import PowerModel
 from repro.policies.daemon import OnlineMonitoringDaemon
 from repro.policies.governors import BaselinePolicy
@@ -104,6 +105,24 @@ def run_both(workload, make_policy, spec=SPEC2, **kwargs):
     return observables(fast), observables(oracle)
 
 
+def run_both_thermal(workload, make_policy, spec, ambient_c):
+    """Both modes with a fresh thermal model each; adds the
+    junction-temperature series to the compared observables."""
+    outcomes = []
+    for full_refresh in (False, True):
+        system = ServerSystem(
+            Chip(spec),
+            workload,
+            make_policy(),
+            thermal_model=ThermalModel(spec, ambient_c=ambient_c),
+            full_refresh=full_refresh,
+        )
+        observed = observables(system.run())
+        observed["temperature_series"] = list(system.temperature_series)
+        outcomes.append(observed)
+    return outcomes
+
+
 class TestIncrementalEquivalence:
     @given(workloads())
     @settings(max_examples=20, deadline=None)
@@ -140,6 +159,41 @@ class TestIncrementalEquivalence:
             spec=SPEC3,
             trace_period_s=trace_period_s,
         )
+        assert fast == oracle
+
+    @given(workloads(), st.sampled_from([25.0, 85.0]))
+    @settings(max_examples=10, deadline=None)
+    def test_thermal_daemon_xgene2_bit_identical(self, workload, ambient):
+        # Leakage and the thermal Vmin shift move on every interval, so
+        # the thermal branch refreshes power even on clean ticks.
+        fast, oracle = run_both_thermal(
+            workload,
+            lambda: OnlineMonitoringDaemon(SPEC2, policy=POLICY2),
+            SPEC2,
+            ambient,
+        )
+        assert fast["temperature_series"]
+        assert fast == oracle
+
+    @given(workloads(), st.sampled_from([25.0, 85.0]))
+    @settings(max_examples=8, deadline=None)
+    def test_thermal_baseline_xgene2_bit_identical(self, workload, ambient):
+        fast, oracle = run_both_thermal(
+            workload, BaselinePolicy, SPEC2, ambient
+        )
+        assert fast == oracle
+
+    @given(workloads(max_cores=32), st.sampled_from([15.0, 65.0]))
+    @settings(max_examples=8, deadline=None)
+    def test_thermal_daemon_xgene3_bit_identical(self, workload, ambient):
+        policy3 = VminPolicyTable.from_characterization(SPEC3)
+        fast, oracle = run_both_thermal(
+            workload,
+            lambda: OnlineMonitoringDaemon(SPEC3, policy=policy3),
+            SPEC3,
+            ambient,
+        )
+        assert fast["temperature_series"]
         assert fast == oracle
 
     @given(workloads())

@@ -192,6 +192,14 @@ def test_verify_job_checks_determinism_and_cache(workflow):
     assert "diff run_all.txt run_all_warm.txt" in text
 
 
+def test_verify_job_gates_serial_and_pool_paths_on_golden(workflow):
+    # The batch replay memo runs in-process under --jobs 1 and across
+    # the pool under --jobs 2: the golden output must gate both.
+    text = _steps_text(workflow["jobs"]["verify"])
+    assert "repro run-all --jobs 1 --platform xgene2" in text
+    assert "diff tests/golden/run_all_xgene2.txt run_all_serial.txt" in text
+
+
 def test_verify_job_gates_on_structured_manifest(workflow):
     job = workflow["jobs"]["verify"]
     text = _steps_text(job)
