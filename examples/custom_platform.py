@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Run the whole pipeline on a platform you define yourself.
 
-The library is not hard-wired to the paper's two chips: register a spec,
-a ground-truth Vmin table, power constants (and optionally thermal
-constants) for your own machine, then characterize it, build its policy
-table and run the daemon — exactly as for the X-Genes.
+The library is not hard-wired to the paper's two chips: bundle a spec,
+a ground-truth Vmin table, power and thermal constants for your own
+machine into one ``PlatformModel``, register it, then characterize it,
+build its policy table and run the daemon — exactly as for the X-Genes.
 
 This example models a fictive 16-core "Hydra-16" ARM server (8 PMDs,
 2.6 GHz, 920 mV nominal) and reproduces the paper's headline comparison
@@ -15,17 +15,20 @@ Run:  python examples/custom_platform.py
 
 from repro.allocation import Allocation
 from repro.core import VminPolicyTable, run_evaluation
-from repro.platform.specs import (
-    CacheSpec,
-    ChipSpec,
-    FrequencyClass,
-    register_platform,
+from repro.platform.registry import (
+    CharacterizationGrid,
+    DroopParams,
+    FaultParams,
+    PerfCalibration,
+    PlatformModel,
+    VariationParams,
+    register_model,
 )
-from repro.platform.thermal import ThermalParams, register_thermal_params
-from repro.power.model import PowerParams, register_power_params
+from repro.platform.specs import CacheSpec, ChipSpec, FrequencyClass
+from repro.platform.thermal import ThermalParams
+from repro.power.model import PowerParams
 from repro.units import ghz, mhz
 from repro.vmin import VminCampaign
-from repro.vmin.model import register_vmin_table
 
 
 def hydra16_spec() -> ChipSpec:
@@ -51,22 +54,23 @@ def hydra16_spec() -> ChipSpec:
     )
 
 
-def register_hydra16() -> str:
-    """Register spec + Vmin + power + thermal; returns the registry key."""
-    key = register_platform(hydra16_spec)
-    spec = hydra16_spec()
-    register_vmin_table(
-        spec,
-        {
+def hydra16_model() -> PlatformModel:
+    """Spec, Vmin, power and thermal constants of the Hydra-16 chip."""
+    return PlatformModel(
+        key="hydra16",
+        spec=hydra16_spec(),
+        vmin_base_mv={
             # 8 PMDs -> four droop classes (1, 2, 4, 8 PMDs).
             FrequencyClass.HIGH: (800, 815, 830, 845),
             FrequencyClass.SKIP: (775, 790, 805, 820),
             FrequencyClass.DIVIDE: (700, 715, 730, 745),
         },
-    )
-    register_power_params(
-        spec.name,
-        PowerParams(
+        # Variation, droop, fault and workload calibration at their
+        # library defaults.
+        variation=VariationParams(),
+        droop=DroopParams(),
+        faults=FaultParams(),
+        power=PowerParams(
             uncore_w=3.0,
             core_dyn_max_w=2.0,
             core_leak_w=0.22,
@@ -76,16 +80,17 @@ def register_hydra16() -> str:
             idle_activity=0.12,
             external_w=1.5,
         ),
+        thermal=ThermalParams(resistance_c_per_w=0.8, time_constant_s=12.0),
+        perf=PerfCalibration(),
+        # Fig. 3 campaign grid: full chip, half, quarter at fmax and fmax/2.
+        characterization=CharacterizationGrid(
+            threads=(16, 8, 4), freqs_hz=(ghz(2.6), ghz(1.3))
+        ),
     )
-    register_thermal_params(
-        spec.name,
-        ThermalParams(resistance_c_per_w=0.8, time_constant_s=12.0),
-    )
-    return key
 
 
 def main() -> None:
-    key = register_hydra16()
+    key = register_model(hydra16_model())
     spec = hydra16_spec()
     print(f"Registered custom platform {spec.name!r} as {key!r}.\n")
 

@@ -77,11 +77,10 @@ DEFAULT_PLATFORM: Dict[str, str] = {
 
 
 def _platform_choices() -> List[str]:
-    """Every resolvable platform: registry keys plus legacy factories."""
+    """Every registered platform key."""
     from .platform.registry import platform_keys
-    from .platform.specs import PLATFORMS
 
-    return sorted(set(platform_keys()) | set(PLATFORMS))
+    return list(platform_keys())
 
 
 def _policy_choices() -> List[str]:

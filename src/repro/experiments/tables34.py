@@ -51,11 +51,10 @@ class TableResult:
         return self.evaluation.platform
 
     def platform_key(self) -> str:
-        """Registry key of the run's platform ('' when unregistered)."""
-        from ..platform.registry import try_get_platform
+        """Registry key of the run's platform."""
+        from ..platform.registry import get_platform
 
-        model = try_get_platform(self.platform)
-        return model.key if model is not None else ""
+        return get_platform(self.platform).key
 
     def paper_reference(self) -> Dict[str, Dict[str, float]]:
         """The paper's values for this platform (empty for non-paper

@@ -14,9 +14,11 @@ distribution knobs, fault/pfail parameters, power coefficients, thermal
 constants and workload calibration hooks — under one stable key
 (``xgene2``, ``xgene3``, ``xgene3-xl``). The built-in bundles are
 defined *declaratively* in ``platform/defs/*.toml`` and loaded on first
-use; a new chip is a new spec file, no code. Consumers resolve their
-coefficients from the bundle once, outside any hot loop, and keep their
-legacy ``register_*`` override hooks for programmatic customization.
+use; a new chip is a new spec file, no code, or one
+``register_model(PlatformModel(...))`` call. Consumers resolve their
+coefficients from the bundle once, outside any hot loop, through
+:func:`model_for_spec`; a spec with no registered bundle is a
+:class:`ConfigurationError`, never a silent default.
 
 The ``repro platform list|show|validate`` CLI (``platform.cli``) fronts
 this module.
@@ -25,6 +27,7 @@ this module.
 from __future__ import annotations
 
 import json
+import tomllib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import (
@@ -40,7 +43,6 @@ from typing import (
 
 from ..errors import ConfigurationError
 from ..units import HertzInt, Millivolts, ghz, hz_to_ghz
-from . import _toml
 from .specs import CacheSpec, ChipSpec, FrequencyClass, _platform_key
 from .thermal import ThermalParams
 
@@ -153,10 +155,21 @@ def register_model(model: PlatformModel, validate: bool = True) -> str:
 
     Re-registering a key overwrites it. ``validate=True`` (the default)
     runs :func:`validate_model` first and refuses inconsistent bundles.
+    A chip display name already claimed by a different key is refused:
+    specs resolve by display name, so a second claimant would silently
+    hand the first chip's spec another chip's constants.
     """
+    _ensure_builtins()
     key = _platform_key(model.key)
     if not key:
         raise ConfigurationError("platform key must be non-empty")
+    name_key = _platform_key(model.spec.name)
+    owner = _BY_SPEC_NAME.get(name_key, key)
+    if owner != key:
+        raise ConfigurationError(
+            f"platform {model.key!r}: chip name {model.spec.name!r} is "
+            f"already registered by platform {_MODELS[owner].key!r}"
+        )
     if validate:
         problems = validate_model(model)
         if problems:
@@ -164,8 +177,11 @@ def register_model(model: PlatformModel, validate: bool = True) -> str:
                 f"platform {model.key!r} failed validation: "
                 + "; ".join(problems)
             )
+    previous = _MODELS.get(key)
+    if previous is not None:
+        del _BY_SPEC_NAME[_platform_key(previous.spec.name)]
     _MODELS[key] = model
-    _BY_SPEC_NAME[_platform_key(model.spec.name)] = key
+    _BY_SPEC_NAME[name_key] = key
     return key
 
 
@@ -197,38 +213,18 @@ def get_platform(name: str) -> PlatformModel:
     return model
 
 
-def model_for_spec(spec: ChipSpec) -> Optional[PlatformModel]:
-    """Bundle whose chip matches ``spec``'s display name, or ``None``.
+def model_for_spec(spec: ChipSpec) -> PlatformModel:
+    """Bundle whose chip matches ``spec``'s display name.
 
-    This is the fallback the per-layer models use when no explicit
-    parameters (and no legacy ``register_*`` override) are given.
+    The one place every layer gets a chip's constants from; raises
+    :class:`ConfigurationError` for a chip nobody registered.
     """
-    return try_get_platform(spec.name)
+    return get_platform(spec.name)
 
 
 def platform_key_for_spec(spec: ChipSpec) -> str:
-    """Registry key of a spec's platform; empty string if unregistered."""
-    model = model_for_spec(spec)
-    return model.key if model is not None else ""
-
-
-def default_characterization_grid(spec: ChipSpec) -> CharacterizationGrid:
-    """Fallback Fig. 3 grid for platforms without a declared one.
-
-    Thread counts halve from the full chip (at most three rungs);
-    frequencies cover the top step plus the half-clock point, which
-    spans every frequency class the chip exposes.
-    """
-    threads: List[int] = []
-    count = spec.n_cores
-    while count >= 1 and len(threads) < 3:
-        threads.append(count)
-        count //= 2
-    steps = spec.frequency_steps()
-    freqs = [steps[-1]]
-    if spec.half_frequency_hz in steps:
-        freqs.append(spec.half_frequency_hz)
-    return CharacterizationGrid(threads=tuple(threads), freqs_hz=tuple(freqs))
+    """Registry key of a spec's platform."""
+    return model_for_spec(spec).key
 
 
 # -- declarative (de)serialization --------------------------------------------
@@ -372,7 +368,7 @@ def load_platform_file(path: Union[str, Path]) -> PlatformModel:
         if path.suffix.lower() == ".json":
             data = json.loads(text)
         else:
-            data = _toml.loads(text)
+            data = tomllib.loads(text)
     except ValueError as exc:
         raise ConfigurationError(f"{path.name}: {exc}") from exc
     try:

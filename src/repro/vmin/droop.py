@@ -129,26 +129,18 @@ class DroopModel:
         if params is None:
             from ..platform.registry import model_for_spec
 
-            model = model_for_spec(spec)
-            params = model.droop if model is not None else None
-        if params is not None:
-            # Instance attributes shadow the class-level defaults, so
-            # chips whose bundle repeats the defaults behave (and hash)
-            # exactly as before.
-            self.BASE_RATE_PER_MCYCLES = params.base_rate_per_mcycles
-            self.LOWER_BIN_MULTIPLIER = params.lower_bin_multiplier
-            self.ABOVE_CEILING_RATE = params.above_ceiling_rate
-            self._freq_scale = {
-                FrequencyClass.HIGH: 1.0,
-                FrequencyClass.SKIP: params.freq_scale_skip,
-                FrequencyClass.DIVIDE: params.freq_scale_divide,
-            }
-        else:
-            self._freq_scale = {
-                FrequencyClass.HIGH: 1.0,
-                FrequencyClass.SKIP: 0.55,
-                FrequencyClass.DIVIDE: 0.2,
-            }
+            params = model_for_spec(spec).droop
+        # Instance attributes shadow the class-level defaults, so chips
+        # whose bundle repeats the defaults behave (and hash) exactly as
+        # before.
+        self.BASE_RATE_PER_MCYCLES = params.base_rate_per_mcycles
+        self.LOWER_BIN_MULTIPLIER = params.lower_bin_multiplier
+        self.ABOVE_CEILING_RATE = params.above_ceiling_rate
+        self._freq_scale = {
+            FrequencyClass.HIGH: 1.0,
+            FrequencyClass.SKIP: params.freq_scale_skip,
+            FrequencyClass.DIVIDE: params.freq_scale_divide,
+        }
         #: (utilized_pmds, freq_class, activity) -> jitter-free rates.
         #: The jitter-free computation is pure, so memoizing it returns
         #: the exact same floats the direct evaluation would; the fluid

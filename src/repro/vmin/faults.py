@@ -83,16 +83,16 @@ class FaultModel:
         """Fault model with a chip's unsafe-region geometry.
 
         ``params`` (a :class:`repro.platform.registry.FaultParams`)
-        wins; otherwise ``spec``'s declarative bundle is consulted.
-        With neither, the class-level defaults apply — and chips whose
-        bundle repeats the defaults behave (and hash in the Vmin cache)
-        exactly as a default-constructed model.
+        wins; otherwise ``spec``'s registered bundle is consulted (an
+        unregistered ``spec`` raises). With neither, the class-level
+        defaults apply — and chips whose bundle repeats the defaults
+        behave (and hash in the Vmin cache) exactly as a
+        default-constructed model.
         """
         if params is None and spec is not None:
             from ..platform.registry import model_for_spec
 
-            model = model_for_spec(spec)
-            params = model.faults if model is not None else None
+            params = model_for_spec(spec).faults
         if params is not None:
             self.MAX_WIDTH_MV = params.max_width_mv
             self.WIDTH_STEP_MV = params.width_step_mv

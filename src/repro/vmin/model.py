@@ -29,65 +29,14 @@ from ..units import HertzInt, Millivolts
 from .droop import droop_bin_index, droop_ladder
 from .variation import CoreVariationMap, make_variation_map
 
-#: Programmatic base-table overrides by chip display name. The built-in
-#: chips' tables live in the declarative bundles (``platform/defs``);
-#: this dict only holds tables registered via :func:`register_vmin_table`
-#: and takes precedence over the bundle registry.
-_BASE_TABLES: Dict[str, Dict[FrequencyClass, Tuple[int, ...]]] = {}
-
 
 def _resolve_base_table(
     spec: ChipSpec,
 ) -> Dict[FrequencyClass, Tuple[int, ...]]:
-    """Base-Vmin table of a chip: override first, then its bundle."""
-    table = _BASE_TABLES.get(spec.name)
-    if table is not None:
-        return table
+    """Base-Vmin table of a chip, from its registered bundle."""
     from ..platform.registry import model_for_spec
 
-    model = model_for_spec(spec)
-    if model is not None:
-        return model.vmin_base_mv
-    raise ConfigurationError(
-        f"no Vmin table for platform {spec.name!r}"
-    )
-
-
-def register_vmin_table(
-    spec: ChipSpec,
-    table: Dict[FrequencyClass, Tuple[int, ...]],
-) -> None:
-    """Register the ground-truth base-Vmin table of a custom platform.
-
-    ``table`` maps each reachable frequency class to one base Vmin per
-    droop class (ordered mild to severe; the droop-class count follows
-    :func:`repro.vmin.droop.droop_ladder`). Values are validated to fit
-    under the nominal voltage and to be monotone per row.
-    """
-    n_classes = len(droop_ladder(spec))
-    if FrequencyClass.HIGH not in table or FrequencyClass.SKIP not in table:
-        raise ConfigurationError(
-            "table needs at least the HIGH and SKIP frequency classes"
-        )
-    for freq_class, row in table.items():
-        if len(row) != n_classes:
-            raise ConfigurationError(
-                f"{spec.name}: row {freq_class.value} needs "
-                f"{n_classes} droop classes, got {len(row)}"
-            )
-        if list(row) != sorted(row):
-            raise ConfigurationError(
-                f"{spec.name}: row {freq_class.value} must be "
-                f"monotone in the droop class"
-            )
-        if max(row) > spec.nominal_voltage_mv:
-            raise ConfigurationError(
-                f"{spec.name}: Vmin above the nominal voltage"
-            )
-    _BASE_TABLES[spec.name] = {
-        freq_class: tuple(int(v) for v in row)
-        for freq_class, row in table.items()
-    }
+    return model_for_spec(spec).vmin_base_mv
 
 
 def variation_attenuation(n_active_cores: int) -> float:

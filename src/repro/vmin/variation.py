@@ -20,18 +20,12 @@ from typing import Optional, Tuple
 from ..errors import ConfigurationError
 from ..platform.specs import ChipSpec
 
-#: Envelope for chips without a declarative bundle, mV (Section III.A
-#: reports family envelopes of ~30 and ~12 mV; registered bundles carry
-#: their own ``variation.max_offset_mv``).
-_DEFAULT_MAX_OFFSET_MV = 25.0
-
 
 def _variation_params(spec: ChipSpec):
-    """Bundle variation parameters of a chip, or ``None``."""
+    """Variation parameters of a chip, from its registered bundle."""
     from ..platform.registry import model_for_spec
 
-    model = model_for_spec(spec)
-    return model.variation if model is not None else None
+    return model_for_spec(spec).variation
 
 
 @dataclass(frozen=True)
@@ -81,10 +75,7 @@ class CoreVariationMap:
 
 def max_core_offset_mv(spec: ChipSpec) -> float:
     """Largest static offset possible for a chip family, in mV."""
-    params = _variation_params(spec)
-    if params is not None:
-        return params.max_offset_mv
-    return _DEFAULT_MAX_OFFSET_MV
+    return _variation_params(spec).max_offset_mv
 
 
 def variation_rng(spec: ChipSpec, silicon_seed: int) -> random.Random:
@@ -118,9 +109,9 @@ def make_variation_map(
     """
     if rng is None:
         if silicon_seed == 0:
-            params = _variation_params(spec)
-            if params is not None and params.paper_offsets_mv is not None:
-                return CoreVariationMap(spec.name, params.paper_offsets_mv)
+            paper = _variation_params(spec).paper_offsets_mv
+            if paper is not None:
+                return CoreVariationMap(spec.name, paper)
         rng = variation_rng(spec, silicon_seed)
     limit = max_core_offset_mv(spec)
     offsets = []

@@ -13,6 +13,21 @@ from repro.workloads.generator import ServerWorkloadGenerator
 from repro.workloads.suites import get_benchmark
 
 
+@pytest.fixture(scope="module")
+def restore_registry():
+    """Unregister every platform a test module registers, afterwards."""
+    from repro.platform import registry
+
+    registry.platform_keys()  # load the built-ins before the snapshot
+    models = dict(registry._MODELS)
+    names = dict(registry._BY_SPEC_NAME)
+    yield
+    registry._MODELS.clear()
+    registry._MODELS.update(models)
+    registry._BY_SPEC_NAME.clear()
+    registry._BY_SPEC_NAME.update(names)
+
+
 @pytest.fixture
 def spec2():
     """X-Gene 2 spec."""

@@ -10,14 +10,16 @@ stays inside the TDP envelope.
 from __future__ import annotations
 
 import copy
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.experiments.fig3_vmin_characterization import characterization_grid
+from repro.perf.model import mem_time_scale
 from repro.platform.registry import (
-    default_characterization_grid,
     get_platform,
     load_platform_file,
     model_for_spec,
@@ -25,6 +27,7 @@ from repro.platform.registry import (
     model_to_dict,
     platform_key_for_spec,
     platform_keys,
+    register_model,
     spec_files,
     try_get_platform,
     validate_model,
@@ -34,7 +37,7 @@ from repro.power.model import PowerModel
 from repro.units import ghz
 from repro.vmin.droop import DroopModel, droop_ladder
 from repro.vmin.faults import FaultModel
-from repro.vmin.variation import make_variation_map
+from repro.vmin.variation import make_variation_map, max_core_offset_mv
 
 ALL_KEYS = platform_keys()
 
@@ -212,10 +215,69 @@ class TestRejection:
             model_from_dict(data)
 
 
-class TestDerivedGrid:
-    def test_unregistered_spec_gets_derived_grid(self, spec2):
-        clone = spec2.__class__(**{**spec2.__dict__, "name": "Clone-8"})
-        assert model_for_spec(clone) is None
-        grid = default_characterization_grid(clone)
-        assert all(1 <= t <= clone.n_cores for t in grid.threads)
-        assert set(grid.freqs_hz) <= set(clone.frequency_steps())
+class TestUnregisteredSpec:
+    @pytest.mark.parametrize(
+        "lookup",
+        [
+            model_for_spec,
+            mem_time_scale,
+            max_core_offset_mv,
+            DroopModel,
+            lambda spec: FaultModel(spec=spec),
+            characterization_grid,
+        ],
+        ids=[
+            "model_for_spec",
+            "mem_time_scale",
+            "max_core_offset_mv",
+            "DroopModel",
+            "FaultModel",
+            "characterization_grid",
+        ],
+    )
+    def test_fails_loud(self, spec2, lookup):
+        # A renamed clone has no bundle: no layer may fall back to a
+        # default or another chip's constants.
+        clone = replace(spec2, name="Clone-8")
+        with pytest.raises(ConfigurationError, match="Clone-8"):
+            lookup(clone)
+
+    def test_malformed_spec_file_names_the_file(self, tmp_path):
+        path = tmp_path / "broken.toml"
+        path.write_text("[platform\nkey = 'broken'\n", encoding="utf-8")
+        with pytest.raises(ConfigurationError) as excinfo:
+            load_platform_file(path)
+        assert str(excinfo.value).startswith("broken.toml: ")
+
+
+class TestDisplayNameCollision:
+    def test_second_key_cannot_claim_a_registered_name(self, restore_registry):
+        xgene3 = get_platform("xgene3")
+        alpha = replace(
+            xgene3, key="alpha", spec=replace(xgene3.spec, name="Shared Chip")
+        )
+        lower = {
+            freq_class: tuple(mv - 40 for mv in row)
+            for freq_class, row in alpha.vmin_base_mv.items()
+        }
+        beta = replace(alpha, key="beta", vmin_base_mv=lower)
+        register_model(alpha)
+        with pytest.raises(ConfigurationError) as excinfo:
+            register_model(beta)
+        message = str(excinfo.value)
+        for part in ("'alpha'", "'beta'", "'Shared Chip'"):
+            assert part in message
+        assert model_for_spec(alpha.spec) is alpha
+
+    def test_same_key_may_re_register(self, restore_registry):
+        xgene3 = get_platform("xgene3")
+        gamma = replace(
+            xgene3, key="gamma", spec=replace(xgene3.spec, name="Gamma Chip")
+        )
+        register_model(gamma)
+        renamed = replace(gamma, spec=replace(gamma.spec, name="Gamma Two"))
+        assert register_model(renamed) == "gamma"
+        assert model_for_spec(renamed.spec) is renamed
+        # The old name is free again once its key moved on.
+        delta = replace(gamma, key="delta")
+        assert register_model(delta) == "delta"

@@ -1,52 +1,56 @@
-"""End-to-end tests for the custom-platform registration API."""
+"""End-to-end tests for defining a custom platform with ``register_model``."""
+
+from dataclasses import replace
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.platform.registry import (
+    CharacterizationGrid,
+    DroopParams,
+    FaultParams,
+    PerfCalibration,
+    PlatformModel,
+    VariationParams,
+    register_model,
+)
 from repro.platform.specs import (
     CacheSpec,
     ChipSpec,
     FrequencyClass,
     get_spec,
-    register_platform,
 )
-from repro.platform.thermal import ThermalParams, register_thermal_params
-from repro.power.model import PowerParams, register_power_params
+from repro.platform.thermal import ThermalParams
+from repro.power.model import PowerParams
 from repro.units import ghz, mhz
-from repro.vmin.model import VminModel, register_vmin_table
+from repro.vmin.model import VminModel
 
 
-def toy_spec() -> ChipSpec:
-    return ChipSpec(
-        name="Toy-8",
-        n_cores=8,
-        cores_per_pmd=2,
-        fmax_hz=ghz(2.0),
-        fmin_hz=mhz(250),
-        nominal_voltage_mv=900,
-        min_voltage_mv=600,
-        tdp_w=20.0,
-        technology_nm=14,
-        caches=CacheSpec(32768, 32768, 262144, 8 * 2**20, True),
-        memory_bandwidth_bps=30e9,
-    )
-
-
-@pytest.fixture(scope="module")
-def registered():
-    key = register_platform(toy_spec)
-    spec = toy_spec()
-    register_vmin_table(
-        spec,
-        {
+def toy_model() -> PlatformModel:
+    return PlatformModel(
+        key="toy8",
+        spec=ChipSpec(
+            name="Toy-8",
+            n_cores=8,
+            cores_per_pmd=2,
+            fmax_hz=ghz(2.0),
+            fmin_hz=mhz(250),
+            nominal_voltage_mv=900,
+            min_voltage_mv=600,
+            tdp_w=20.0,
+            technology_nm=14,
+            caches=CacheSpec(32768, 32768, 262144, 8 * 2**20, True),
+            memory_bandwidth_bps=30e9,
+        ),
+        vmin_base_mv={
             FrequencyClass.HIGH: (780, 800, 815),
             FrequencyClass.SKIP: (760, 780, 795),
             FrequencyClass.DIVIDE: (700, 720, 735),
         },
-    )
-    register_power_params(
-        spec.name,
-        PowerParams(
+        variation=VariationParams(),
+        droop=DroopParams(),
+        faults=FaultParams(),
+        power=PowerParams(
             uncore_w=1.5,
             core_dyn_max_w=1.5,
             core_leak_w=0.15,
@@ -54,11 +58,17 @@ def registered():
             uncore_on_rail=True,
             external_w=0.5,
         ),
+        thermal=ThermalParams(resistance_c_per_w=1.0, time_constant_s=8.0),
+        perf=PerfCalibration(),
+        characterization=CharacterizationGrid(
+            threads=(8, 4, 2), freqs_hz=(ghz(2.0), ghz(1.0))
+        ),
     )
-    register_thermal_params(
-        spec.name, ThermalParams(resistance_c_per_w=1.0, time_constant_s=8.0)
-    )
-    return key
+
+
+@pytest.fixture(scope="module")
+def registered(restore_registry):
+    return register_model(toy_model())
 
 
 class TestRegistration:
@@ -66,49 +76,46 @@ class TestRegistration:
         assert get_spec(registered).name == "Toy-8"
         assert get_spec("Toy-8").n_cores == 8
 
-    def test_factory_must_return_spec(self):
-        with pytest.raises(ConfigurationError):
-            register_platform(lambda: "not a spec")
-
     def test_vmin_table_row_length_validated(self):
-        spec = toy_spec()
-        with pytest.raises(ConfigurationError):
-            register_vmin_table(
-                spec,
-                {
-                    FrequencyClass.HIGH: (780, 800),  # needs 3 classes
-                    FrequencyClass.SKIP: (760, 780),
-                },
-            )
+        model = replace(
+            toy_model(),
+            vmin_base_mv={
+                FrequencyClass.HIGH: (780, 800),  # needs 3 classes
+                FrequencyClass.SKIP: (760, 780),
+            },
+        )
+        with pytest.raises(ConfigurationError, match="droop classes"):
+            register_model(model)
 
     def test_vmin_table_monotone_validated(self):
-        spec = toy_spec()
-        with pytest.raises(ConfigurationError):
-            register_vmin_table(
-                spec,
-                {
-                    FrequencyClass.HIGH: (800, 780, 815),
-                    FrequencyClass.SKIP: (760, 780, 795),
-                },
-            )
+        model = replace(
+            toy_model(),
+            vmin_base_mv={
+                FrequencyClass.HIGH: (800, 780, 815),
+                FrequencyClass.SKIP: (760, 780, 795),
+            },
+        )
+        with pytest.raises(ConfigurationError, match="non-decreasing"):
+            register_model(model)
 
     def test_vmin_table_needs_core_classes(self):
-        spec = toy_spec()
-        with pytest.raises(ConfigurationError):
-            register_vmin_table(
-                spec, {FrequencyClass.HIGH: (780, 800, 815)}
-            )
+        model = replace(
+            toy_model(),
+            vmin_base_mv={FrequencyClass.HIGH: (780, 800, 815)},
+        )
+        with pytest.raises(ConfigurationError, match="missing the 'skip' row"):
+            register_model(model)
 
     def test_vmin_above_nominal_rejected(self):
-        spec = toy_spec()
-        with pytest.raises(ConfigurationError):
-            register_vmin_table(
-                spec,
-                {
-                    FrequencyClass.HIGH: (780, 800, 950),
-                    FrequencyClass.SKIP: (760, 780, 795),
-                },
-            )
+        model = replace(
+            toy_model(),
+            vmin_base_mv={
+                FrequencyClass.HIGH: (780, 800, 950),
+                FrequencyClass.SKIP: (760, 780, 795),
+            },
+        )
+        with pytest.raises(ConfigurationError, match="exceeds the nominal"):
+            register_model(model)
 
 
 class TestEndToEnd:
