@@ -106,11 +106,26 @@ def pick_free_cores(
 
     Raises :class:`PlacementError` when not enough cores are free.
     """
-    free = sorted(set(free_cores))
+    free = tuple(sorted(set(free_cores)))
     if len(free) < nthreads:
         raise PlacementError(
             f"need {nthreads} cores but only {len(free)} free"
         )
+    return _pick_free_cores(spec, free, nthreads, allocation)
+
+
+@functools.lru_cache(maxsize=4096)
+def _pick_free_cores(
+    spec: ChipSpec,
+    free: Tuple[int, ...],
+    nthreads: int,
+    allocation: Allocation,
+) -> Tuple[int, ...]:
+    """The greedy choice for one canonical (sorted, distinct) free set.
+
+    A pure function of its arguments, memoized because the daemon's
+    re-plan after every arrival and exit revisits the same free sets.
+    """
     free_set = set(free)
     siblings = _sibling_map(spec)
     chosen: List[int] = []

@@ -29,6 +29,7 @@ hardware realises it:
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -119,12 +120,7 @@ class ChipSpec:
 
     def frequency_steps(self) -> Tuple[int, ...]:
         """All supported frequency settings, ascending (1/8 steps of fmax)."""
-        step = self.fmax_hz // self.n_freq_steps
-        return tuple(
-            step * i
-            for i in range(1, self.n_freq_steps + 1)
-            if step * i >= self.fmin_hz
-        )
+        return _frequency_steps(self.fmax_hz, self.fmin_hz, self.n_freq_steps)
 
     def validate_frequency(self, freq_hz: int) -> None:
         """Raise :class:`FrequencyRangeError` for an unsupported setting."""
@@ -137,8 +133,9 @@ class ChipSpec:
 
     def nearest_frequency(self, freq_hz: float) -> int:
         """Snap an arbitrary request to the nearest supported step."""
-        steps = self.frequency_steps()
-        return min(steps, key=lambda f: (abs(f - freq_hz), f))
+        return _nearest_frequency(
+            self.fmax_hz, self.fmin_hz, self.n_freq_steps, freq_hz
+        )
 
     def frequency_class(self, freq_hz: int) -> FrequencyClass:
         """Vmin-relevant class of a frequency setting (Section II.B)."""
@@ -165,6 +162,31 @@ class ChipSpec:
             raise ConfigurationError(f"{self.name}: PMD {pmd_id} out of range")
         base = pmd_id * self.cores_per_pmd
         return tuple(range(base, base + self.cores_per_pmd))
+
+
+# The two memos below are keyed on the spec's scalar fields, not on the
+# spec: hashing a frozen dataclass rehashes every field on each call, and
+# a memo stored on the instance would show up in ``spec.__dict__`` and
+# break ``ChipSpec(**spec.__dict__)`` clones. CPPC snaps every per-PMD
+# request, so both sit on the daemon's actuation path.
+
+
+@functools.lru_cache(maxsize=64)
+def _frequency_steps(
+    fmax_hz: int, fmin_hz: int, n_freq_steps: int
+) -> Tuple[int, ...]:
+    step = fmax_hz // n_freq_steps
+    return tuple(
+        step * i for i in range(1, n_freq_steps + 1) if step * i >= fmin_hz
+    )
+
+
+@functools.lru_cache(maxsize=1024)
+def _nearest_frequency(
+    fmax_hz: int, fmin_hz: int, n_freq_steps: int, freq_hz: float
+) -> int:
+    steps = _frequency_steps(fmax_hz, fmin_hz, n_freq_steps)
+    return min(steps, key=lambda f: (abs(f - freq_hz), f))
 
 
 def xgene2_spec() -> ChipSpec:

@@ -20,8 +20,8 @@ typed surfaces:
   (:mod:`repro.policies.actuation`) applies the non-``None`` fields in
   the paper's fail-safe order (raise -> reconfigure -> settle).
 
-:class:`Policy` replaces the old ``Controller`` ABC. A policy is a
-single function of the observation::
+:class:`Policy` is the one control surface every governor, trim and
+daemon implements. A policy is a single function of the observation::
 
     def decide(self, obs: Observation) -> Optional[Action]
 
@@ -47,9 +47,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class PolicyEvent:
     """The five control events a policy is consulted on.
 
-    Matches the old ``Controller`` hook set one-to-one so the ported
-    policies keep their exact callback cadence (and the
-    ``sim.controller.callbacks`` telemetry counter its meaning):
+    The simulator counts every dispatch in the
+    ``sim.controller.callbacks`` telemetry counter:
 
     * ``START`` — simulation begins, before any arrival (park clocks,
       set the initial rail);

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
 from ..errors import SimulationError
 
@@ -28,10 +28,15 @@ class Event:
 
 
 class EventQueue:
-    """Time-ordered event queue with stable FIFO tie-breaking."""
+    """Time-ordered event queue with stable FIFO tie-breaking.
+
+    The heap holds ``(time_s, seq, event)`` tuples, so ordering compares
+    two floats or ints in C instead of calling the dataclass's
+    ``__lt__``; ``seq`` is unique, so the event itself is never compared.
+    """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._cancelled: set[int] = set()
         self._pending: set[int] = set()
@@ -53,7 +58,7 @@ class EventQueue:
             raise SimulationError(f"cannot schedule at negative time {time_s}")
         event = Event(time_s=time_s, seq=next(self._seq), kind=kind,
                       payload=payload)
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time_s, event.seq, event))
         self._pending.add(event.seq)
         self.scheduled_total += 1
         return event
@@ -68,14 +73,14 @@ class EventQueue:
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or ``None`` when empty."""
         self._drop_cancelled()
-        return self._heap[0].time_s if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def pop(self) -> Event:
         """Remove and return the next live event."""
         self._drop_cancelled()
         if not self._heap:
             raise SimulationError("pop from empty event queue")
-        event = heapq.heappop(self._heap)
+        event = heapq.heappop(self._heap)[2]
         self._pending.discard(event.seq)
         return event
 
@@ -89,15 +94,15 @@ class EventQueue:
         float instant share a zero-length interval.
         """
         self._drop_cancelled()
-        if self._heap and self._heap[0].time_s == time_s:
-            event = heapq.heappop(self._heap)
+        if self._heap and self._heap[0][0] == time_s:
+            event = heapq.heappop(self._heap)[2]
             self._pending.discard(event.seq)
             return event
         return None
 
     def _drop_cancelled(self) -> None:
-        while self._heap and self._heap[0].seq in self._cancelled:
-            self._cancelled.discard(self._heap[0].seq)
+        while self._heap and self._heap[0][1] in self._cancelled:
+            self._cancelled.discard(self._heap[0][1])
             heapq.heappop(self._heap)
         if not self._pending:
             # Every remaining heap entry is a cancelled corpse. Without
@@ -114,9 +119,9 @@ class EventQueue:
             # through the lazy top-of-heap check; compact once corpses
             # dominate so the sets stay bounded by the live event count.
             self._heap = [
-                event
-                for event in self._heap
-                if event.seq not in self._cancelled
+                entry
+                for entry in self._heap
+                if entry[1] not in self._cancelled
             ]
             heapq.heapify(self._heap)
             self._cancelled.clear()

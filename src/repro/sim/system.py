@@ -28,7 +28,9 @@ behaviour profile. A refresh whose inputs did not change reuses the
 cached results, which are bit-identical to a recomputation; only the
 finish/phase times (which depend on the advancing clock) are recomputed,
 and their cancel+schedule pair is elided when the recomputed time equals
-the scheduled one. ``ServerSystem(full_refresh=True)`` — or the
+the scheduled one. Each full refresh also builds the per-tick
+integration rows and droop rates every interval until the next one
+replays. ``ServerSystem(full_refresh=True)`` — or the
 ``REPRO_SIM_FULL_REFRESH=1`` environment variable — disables all of it
 and runs the original recompute-everything path; the equivalence
 property suite asserts both modes produce identical results.
@@ -39,7 +41,7 @@ from __future__ import annotations
 import os
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..errors import SimulationError, SystemCrash
@@ -47,6 +49,7 @@ from ..perf.contention import bandwidth_utilization, contention_factor
 from ..telemetry import names as metric_names
 from ..perf.model import ExecutionState, bandwidth_demand_gbs, execution_state
 from ..platform.chip import Chip, ChipState
+from ..platform.pmu import CoreCounters
 from ..platform.thermal import ThermalModel
 from ..policies.actuation import apply_action
 from ..policies.surfaces import Action, Observation, Policy, PolicyEvent
@@ -55,10 +58,10 @@ from ..power.model import PowerBreakdown, PowerModel
 from ..vmin.droop import DroopModel
 from ..vmin.model import VminModel
 from ..workloads.generator import Workload
-from ..workloads.phases import resolve_benchmark
+from ..workloads.phases import PhasedBenchmark, resolve_benchmark
 from ..workloads.profiles import BenchmarkProfile
 from .engine import Event, EventQueue, SimClock
-from .process import SimProcess, WorkloadClass
+from .process import ProcessCounters, SimProcess, WorkloadClass
 from .scheduler import SpreadScheduler
 from .tracing import TimelineTrace, TraceSample
 
@@ -83,6 +86,25 @@ class ViolationRecord:
     def depth_mv(self) -> float:
         """How far below the safe Vmin the rail sat."""
         return self.required_mv - self.voltage_mv
+
+
+class TickRow(NamedTuple):
+    """One running process's integration inputs between full refreshes.
+
+    Cores, clocks and execution states change only through a full
+    refresh, so every interval until the next one reads the same row.
+    """
+
+    process: SimProcess
+    counters: ProcessCounters
+    freq_hz: int
+    #: ``l3_rate_per_mcycles * freq_hz``: the oracle's leading product.
+    l3_rate_freq: float
+    activity: float
+    duration_s: float
+    nthreads: int
+    #: (PMU register bank, PMD clock) of each occupied core.
+    cores: Tuple[Tuple[CoreCounters, int], ...]
 
 
 @dataclass(slots=True)
@@ -125,9 +147,10 @@ class ServerSystem:
 
     ``full_refresh=True`` (or ``REPRO_SIM_FULL_REFRESH=1`` in the
     environment) disables the incremental refresh, the execution-state
-    cache, reschedule elision and same-timestamp event coalescing, and
-    recomputes the entire system state after every event — the original
-    hot path, kept as the ground-truth oracle for equivalence tests.
+    cache, the integration rows, reschedule elision and same-timestamp
+    event coalescing, and recomputes the entire system state after every
+    event — the original hot path, kept as the ground-truth oracle for
+    equivalence tests.
     """
 
     def __init__(
@@ -222,12 +245,19 @@ class ServerSystem:
         self._occ_version = -1
         self._freq_version = -1
         self._volt_version = -1
+        #: Per-tick integration rows, one per running process, rebuilt
+        #: by every full refresh (see ``_build_rows``).
+        self._rows: List[TickRow] = []
+        #: Running processes with phased profiles: the only ones whose
+        #: behaviour can change without a refresh, or that have phase
+        #: events to reschedule.
+        self._phased: List[SimProcess] = []
         #: Cached droop-generation inputs (derived from the chip state
-        #: and execution states, fixed between refreshes).
-        self._droop_pmds = 0
+        #: and execution states, fixed between refreshes): the top
+        #: active clock and the jitter-free rates per magnitude bin
+        #: (``None`` while no PMD is active).
         self._droop_freq = 0
-        self._droop_class = None
-        self._droop_activity = 0.0
+        self._droop_rates: Optional[Dict[Tuple[int, int], float]] = None
         #: (behaviour id, freq, nthreads, shares_pmd, contention) ->
         #: execution state. Keys hold the behaviour object itself so
         #: its id() stays valid for the cache's lifetime.
@@ -458,22 +488,48 @@ class ServerSystem:
         if dt <= 0:
             self._sample_trace_until(time_s)
             return
-        oracle = self.full_refresh
-        if oracle:
-            state = self.chip.state()
-            running = self.running_processes()
+        if self.full_refresh:
+            self._integrate_oracle(dt)
         else:
-            state = self._state if self._state is not None else self.chip.state()
-            running = self._running
+            # Replays the oracle's float expressions over the rows built
+            # at the last full refresh: ``(l3_rate * freq) * dt`` is the
+            # oracle's ``l3_rate * freq * dt``, operand for operand.
+            for (
+                process, counters, freq, l3_rate_freq, activity,
+                duration_s, nthreads, cores,
+            ) in self._rows:
+                accesses = (l3_rate_freq * dt / 1e6) * nthreads
+                counters.advance(freq * dt * nthreads, accesses)
+                core_accesses = accesses / nthreads
+                for regs, core_freq in cores:
+                    core_cycles = core_freq * dt
+                    regs.advance(
+                        core_cycles, core_cycles * activity, core_accesses
+                    )
+                process.progress(dt / duration_s)
+            rates = self._droop_rates
+            if rates is not None:
+                cycles = self._droop_freq * dt
+                record = self.chip.pmu.record_droops
+                for bin_mv, rate in rates.items():
+                    record(bin_mv, rate * cycles / 1e6)
+        self.meter.accumulate(self._power_w, dt)
+        if self.thermal is not None:
+            self.thermal.step(self._power_w, dt)
+            self.temperature_series.append(
+                (time_s, self.thermal.temperature_c)
+            )
+        self._sample_trace_until(time_s)
+
+    def _integrate_oracle(self, dt: float) -> None:
+        """Advance counters, progress and droops from the live chip."""
+        state = self.chip.state()
+        running = self.running_processes()
         proc_states = self._proc_states
-        freqs = self._freqs
         pmu = self.chip.pmu
         for process in running:
             exec_state = proc_states[process.pid]
-            if oracle:
-                freq = self.process_frequency_hz(process)
-            else:
-                freq = freqs[process.pid]
+            freq = self.process_frequency_hz(process)
             cycles = freq * dt * process.nthreads
             accesses = (
                 exec_state.l3_rate_per_mcycles * freq * dt / 1e6
@@ -487,46 +543,20 @@ class ServerSystem:
                     l3_accesses=accesses / process.nthreads,
                 )
             process.progress(dt / exec_state.duration_s)
-        self._accumulate_droops(state, running, dt)
-        self.meter.accumulate(self._power_w, dt)
-        if self.thermal is not None:
-            self.thermal.step(self._power_w, dt)
-            self.temperature_series.append(
-                (time_s, self.thermal.temperature_c)
-            )
-        self._sample_trace_until(time_s)
-
-    def _accumulate_droops(
-        self,
-        state: ChipState,
-        running: List[SimProcess],
-        dt: float,
-    ) -> None:
-        if self.full_refresh:
-            pmds = state.active_pmds
-            if not pmds:
-                return
-            n_pmds = len(pmds)
-            cycles = state.max_active_frequency() * dt
-            freq_class = state.worst_active_frequency_class()
-            activity = sum(
-                self._proc_states[p.pid].effective_activity for p in running
-            ) / max(1, len(running))
-        else:
-            n_pmds = self._droop_pmds
-            if not n_pmds:
-                return
-            cycles = self._droop_freq * dt
-            freq_class = self._droop_class
-            activity = self._droop_activity
+        pmds = state.active_pmds
+        if not pmds:
+            return
+        activity = sum(
+            proc_states[p.pid].effective_activity for p in running
+        ) / max(1, len(running))
         events = self.droop_model.events_for_interval(
-            utilized_pmds=n_pmds,
-            cycles=cycles,
-            freq_class=freq_class,
+            utilized_pmds=len(pmds),
+            cycles=state.max_active_frequency() * dt,
+            freq_class=state.worst_active_frequency_class(),
             activity=max(0.05, activity),
         )
         for bin_mv, count in events.items():
-            self.chip.pmu.record_droops(bin_mv, count)
+            pmu.record_droops(bin_mv, count)
 
     def _sample_trace_until(self, time_s: float) -> None:
         if self.trace is None:
@@ -605,7 +635,7 @@ class ServerSystem:
         )
         if not dirty:
             behaviours = self._behaviours
-            for process in self._running:
+            for process in self._phased:
                 if process.current_profile() is not behaviours[process.pid]:
                     dirty = True
                     break
@@ -686,17 +716,57 @@ class ServerSystem:
         self._occ_version = self.chip.occupancy_version
         self._freq_version = self.chip.cppc.transition_count()
         self._volt_version = self.chip.slimpro.transition_count()
-        pmds = state.active_pmds
-        self._droop_pmds = len(pmds)
-        if pmds:
-            self._droop_freq = state.max_active_frequency()
-            self._droop_class = state.worst_active_frequency_class()
-            self._droop_activity = sum(
-                self._proc_states[p.pid].effective_activity for p in running
-            ) / max(1, len(running))
+        if not self.full_refresh:
+            self._build_rows(state, running)
         self._recompute_power(state)
         self._reschedule_completions(running)
         self._audit_voltage(state, running)
+
+    def _build_rows(
+        self, state: ChipState, running: List[SimProcess]
+    ) -> None:
+        """Cache what every interval until the next full refresh reads:
+        one :class:`TickRow` per process (its cores' PMU banks are
+        bounds-checked here, once), the phased processes, and the droop
+        rates of the active configuration."""
+        proc_states = self._proc_states
+        freqs = self._freqs
+        pmu = self.chip.pmu
+        rows = []
+        for process in running:
+            exec_state = proc_states[process.pid]
+            freq = freqs[process.pid]
+            rows.append(TickRow(
+                process,
+                process.counters,
+                freq,
+                exec_state.l3_rate_per_mcycles * freq,
+                exec_state.effective_activity,
+                exec_state.duration_s,
+                process.nthreads,
+                tuple(
+                    (pmu.core(c), state.frequency_of_core(c))
+                    for c in process.cores
+                ),
+            ))
+        self._rows = rows
+        self._phased = [
+            p for p in running if isinstance(p.profile, PhasedBenchmark)
+        ]
+        pmds = state.active_pmds
+        if not pmds:
+            self._droop_rates = None
+            return
+        self._droop_freq = state.max_active_frequency()
+        activity = sum(
+            proc_states[p.pid].effective_activity for p in running
+        ) / max(1, len(running))
+        self._droop_rates = self.droop_model.rates_per_mcycles(
+            len(pmds),
+            state.worst_active_frequency_class(),
+            max(0.05, activity),
+            jitter=False,
+        )
 
     def _recompute_power(self, state: ChipState) -> None:
         if self.thermal is None:
@@ -730,6 +800,8 @@ class ServerSystem:
     def _reschedule_completions(self, running: List[SimProcess]) -> None:
         now = self.now
         elide = not self.full_refresh
+        # A static profile never has a phase event to move.
+        phased = self._phased
         for process in running:
             exec_state = self._proc_states[process.pid]
             remaining_s = max(
@@ -754,7 +826,8 @@ class ServerSystem:
                 self._finish_events[process.pid] = self.events.schedule(
                     time_s, "finish", process.pid
                 )
-            self._reschedule_phase(process, exec_state)
+            if not elide or process in phased:
+                self._reschedule_phase(process, exec_state)
 
     def _reschedule_phase(self, process, exec_state) -> None:
         old = self._phase_events.get(process.pid)

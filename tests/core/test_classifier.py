@@ -1,6 +1,10 @@
 """Tests for the L3C-rate workload classifier (paper Section IV.B)."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.classifier import DEFAULT_THRESHOLD, L3RateClassifier
 from repro.errors import ConfigurationError
@@ -83,3 +87,57 @@ class TestValidation:
     def test_bad_hysteresis(self):
         with pytest.raises(ConfigurationError):
             L3RateClassifier(hysteresis=1.0)
+
+
+_PREVIOUS = tuple(WorkloadClass)
+
+
+def _edges(classifier):
+    """Every decision bound and its two neighbouring floats."""
+    rates = []
+    for bound in (
+        classifier.threshold,
+        classifier.lower_bound,
+        classifier.upper_bound,
+    ):
+        rates += [
+            math.nextafter(bound, -math.inf),
+            bound,
+            math.nextafter(bound, math.inf),
+        ]
+    return rates
+
+
+class TestDecide:
+    """``decide`` is ``classify`` without the sample allocation."""
+
+    @pytest.mark.parametrize("hysteresis", [0.0, 0.05, 0.1])
+    def test_edges_match_classify(self, hysteresis):
+        c = L3RateClassifier(hysteresis=hysteresis)
+        for rate in _edges(c):
+            for previous in _PREVIOUS:
+                assert (
+                    c.decide(rate, previous)
+                    is c.classify(rate, previous).decided
+                )
+
+    @given(
+        st.sampled_from((0.0, 0.05, 0.1)),
+        st.sampled_from(_PREVIOUS),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_near_bounds_match_classify(self, hysteresis, previous, data):
+        c = L3RateClassifier(hysteresis=hysteresis)
+        bound = data.draw(
+            st.sampled_from((c.threshold, c.lower_bound, c.upper_bound))
+        )
+        rate = data.draw(st.floats(bound * 0.99, bound * 1.01))
+        assert c.decide(rate, previous) is c.classify(rate, previous).decided
+
+    @pytest.mark.parametrize("previous", _PREVIOUS)
+    def test_negative_rate_raises_from_both(self, classifier, previous):
+        with pytest.raises(ConfigurationError):
+            classifier.decide(-1e-9, previous)
+        with pytest.raises(ConfigurationError):
+            classifier.classify(-1e-9, previous)

@@ -1,6 +1,11 @@
 """Tests for chip specifications (paper Table I)."""
 
+import pickle
+from dataclasses import asdict
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, FrequencyRangeError
 from repro.platform.specs import ChipSpec, CacheSpec, FrequencyClass, get_spec
@@ -103,6 +108,40 @@ class TestFrequencySteps:
         assert spec2.nearest_frequency(ghz(1.0)) == 900 * MHZ
         assert spec2.nearest_frequency(ghz(2.3)) == ghz(2.4)
         assert spec2.nearest_frequency(0) == 300 * MHZ
+
+    @given(st.floats(0.0, 4e9), st.sampled_from(("xgene2", "xgene3")))
+    @settings(max_examples=200, deadline=None)
+    def test_nearest_frequency_matches_direct_snap(self, freq_hz, name):
+        spec = get_spec(name)
+        step = spec.fmax_hz // spec.n_freq_steps
+        steps = tuple(
+            step * i
+            for i in range(1, spec.n_freq_steps + 1)
+            if step * i >= spec.fmin_hz
+        )
+        expected = min(steps, key=lambda f: (abs(f - freq_hz), f))
+        assert spec.nearest_frequency(freq_hz) == expected
+        assert spec.nearest_frequency(int(freq_hz)) == min(
+            steps, key=lambda f: (abs(f - int(freq_hz)), f)
+        )
+
+    def test_memo_leaves_the_spec_untouched(self, spec2):
+        # The snapping memos live outside the instance: nothing a call
+        # does may show up in the spec's fields, equality, hash or
+        # pickled form, or break ``ChipSpec(**spec.__dict__)`` clones.
+        spec = ChipSpec(**spec2.__dict__)
+        before = (
+            dict(spec.__dict__), asdict(spec), hash(spec), pickle.dumps(spec)
+        )
+        spec.nearest_frequency(ghz(1.0))
+        spec.frequency_steps()
+        after = (
+            dict(spec.__dict__), asdict(spec), hash(spec), pickle.dumps(spec)
+        )
+        assert after == before
+        assert spec == spec2
+        assert pickle.loads(pickle.dumps(spec)) == spec
+        assert ChipSpec(**spec.__dict__) == spec
 
 
 class TestFrequencyClasses:

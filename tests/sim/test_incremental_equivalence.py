@@ -1,10 +1,13 @@
 """Incremental-refresh equivalence: fast path ≡ full-refresh oracle.
 
 The simulator's incremental hot path (dirty-set refresh, execution-state
-cache, reschedule elision, same-timestamp coalescing) claims *bit-for-bit*
-identity with the original recompute-everything flow, which survives as
+cache, reschedule elision, same-timestamp coalescing, per-tick
+integration rows) claims *bit-for-bit* identity with the original
+recompute-everything flow, which survives as
 ``ServerSystem(full_refresh=True)``. These properties replay random
-workloads under both modes and compare every observable of the run —
+workloads (phased benchmarks included) under both modes and compare
+every observable of the run — per-process and per-core PMU counters,
+droop detections and the daemon's classification count among them —
 not approximately, but with ``==`` on the raw floats.
 
 A separate regression pins the energy-accounting semantics at the end of
@@ -33,12 +36,19 @@ from repro.policies.surfaces import Policy
 from repro.sim.system import ServerSystem
 from repro.telemetry.manifest import canonical_json
 from repro.workloads.generator import JobSpec, Workload
+from repro.workloads.phases import resolve_benchmark
 from repro.workloads.suites import evaluation_pool, get_benchmark
 
 SPEC2 = xgene2_spec()
 SPEC3 = xgene3_spec()
 POLICY2 = VminPolicyTable.from_characterization(SPEC2)
-_POOL = [p.name for p in evaluation_pool()]
+#: The evaluation pool plus phased programs, whose mid-run profile
+#: switches exercise the phase scan and phase reschedules.
+_POOL = [p.name for p in evaluation_pool()] + [
+    "stream-compute",
+    "setup-then-crunch",
+    "compute-then-writeback",
+]
 
 
 @st.composite
@@ -48,7 +58,7 @@ def workloads(draw, max_cores=8):
     count = draw(st.integers(1, 6))
     for job_id in range(count):
         name = draw(st.sampled_from(_POOL))
-        parallel = get_benchmark(name).parallel
+        parallel = resolve_benchmark(name).parallel
         nthreads = draw(st.sampled_from((2, 4))) if parallel else 1
         start = draw(st.floats(0.0, 120.0).map(lambda v: round(v, 2)))
         jobs.append(JobSpec(job_id, name, nthreads, start))
@@ -57,8 +67,12 @@ def workloads(draw, max_cores=8):
     )
 
 
-def observables(result):
-    """Every field of a run, in raw-float comparable form."""
+def observables(result, system):
+    """Every field of a run, in raw-float comparable form.
+
+    ``system`` is the replayed :class:`ServerSystem`: its chip's PMU
+    registers and its policy's monitor are observables too.
+    """
     trace = None
     if result.trace is not None:
         trace = [
@@ -74,6 +88,8 @@ def observables(result):
             )
             for s in result.trace.samples
         ]
+    pmu = system.chip.pmu
+    monitor = getattr(system.policy, "monitor", None)
     return {
         "makespan_s": result.makespan_s,
         "energy_j": result.energy_j,
@@ -84,25 +100,42 @@ def observables(result):
             for v in result.violations
         ],
         "processes": [
-            (p.pid, p.start_s, p.finish_s, p.migrations, tuple(p.cores))
+            (
+                p.pid,
+                p.start_s,
+                p.finish_s,
+                p.migrations,
+                tuple(p.cores),
+                p.counters.cycles,
+                p.counters.l3_accesses,
+                p.observed_class.value,
+            )
             for p in result.processes
         ],
+        "pmu_cores": [
+            (regs.cycles, regs.instructions, regs.l3_accesses)
+            for regs in pmu.cores
+        ],
+        "droop_events": sorted(pmu.droop_events.items()),
+        "samples_taken": (
+            monitor.samples_taken if monitor is not None else None
+        ),
         "trace": trace,
     }
 
 
 def run_both(workload, make_policy, spec=SPEC2, **kwargs):
-    fast = ServerSystem(
-        Chip(spec), workload, make_policy(), **kwargs
-    ).run()
-    oracle = ServerSystem(
-        Chip(spec),
-        workload,
-        make_policy(),
-        full_refresh=True,
-        **kwargs,
-    ).run()
-    return observables(fast), observables(oracle)
+    outcomes = []
+    for full_refresh in (False, True):
+        system = ServerSystem(
+            Chip(spec),
+            workload,
+            make_policy(),
+            full_refresh=full_refresh,
+            **kwargs,
+        )
+        outcomes.append(observables(system.run(), system))
+    return outcomes
 
 
 def run_both_thermal(workload, make_policy, spec, ambient_c):
@@ -117,7 +150,7 @@ def run_both_thermal(workload, make_policy, spec, ambient_c):
             thermal_model=ThermalModel(spec, ambient_c=ambient_c),
             full_refresh=full_refresh,
         )
-        observed = observables(system.run())
+        observed = observables(system.run(), system)
         observed["temperature_series"] = list(system.temperature_series)
         outcomes.append(observed)
     return outcomes
@@ -236,13 +269,14 @@ class TestIncrementalDeterminism:
 
         def one_run():
             with telemetry.session() as registry:
-                result = ServerSystem(
+                system = ServerSystem(
                     Chip(SPEC2),
                     workload,
                     OnlineMonitoringDaemon(SPEC2, policy=POLICY2),
-                ).run()
+                )
+                result = system.run()
                 snap = registry.snapshot()
-            return observables(result), snap
+            return observables(result, system), snap
 
         obs_a, snap_a = one_run()
         obs_b, snap_b = one_run()

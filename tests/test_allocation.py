@@ -1,6 +1,8 @@
 """Tests for clustered/spreaded core allocation (paper Fig. 2)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.allocation import (
     Allocation,
@@ -12,6 +14,7 @@ from repro.allocation import (
     utilized_pmds,
 )
 from repro.errors import ConfigurationError, PlacementError
+from repro.platform.specs import get_spec
 
 
 class TestClustered:
@@ -102,3 +105,58 @@ class TestPickFreeCores:
         free = [1, 3, 5, 7]
         chosen = pick_free_cores(spec2, free, 2, Allocation.SPREADED)
         assert set(chosen) <= set(free)
+
+
+def _reference_pick(spec, free_cores, nthreads, allocation):
+    """The unmemoized greedy, restated from the strategy's definition."""
+    free_set = set(free_cores)
+    if len(free_set) < nthreads:
+        raise PlacementError("not enough free cores")
+    chosen = []
+    for _ in range(nthreads):
+        chosen_pmds = {spec.pmd_of_core(c) for c in chosen}
+
+        def rank(core):
+            pmd = spec.pmd_of_core(core)
+            siblings_free = all(
+                s in free_set for s in spec.cores_of_pmd(pmd) if s != core
+            )
+            if allocation is Allocation.CLUSTERED:
+                return (1 if siblings_free else 0, core)
+            fresh = pmd not in chosen_pmds and siblings_free
+            return (0 if fresh else 1, core)
+
+        core = min(free_set, key=rank)
+        chosen.append(core)
+        free_set.remove(core)
+    return tuple(chosen)
+
+
+@st.composite
+def _pick_cases(draw):
+    spec = get_spec(draw(st.sampled_from(("xgene2", "xgene3", "xgene3-xl"))))
+    # Unsorted, with duplicates: the memo key must canonicalize both.
+    free = draw(st.lists(st.integers(0, spec.n_cores - 1), max_size=80))
+    nthreads = draw(st.integers(1, min(len(set(free)) + 2, spec.n_cores)))
+    allocation = draw(st.sampled_from(tuple(Allocation)))
+    return spec, free, nthreads, allocation
+
+
+class TestPickFreeCoresMemo:
+    @given(_pick_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_greedy(self, case):
+        spec, free, nthreads, allocation = case
+        if len(set(free)) < nthreads:
+            with pytest.raises(PlacementError):
+                pick_free_cores(spec, free, nthreads, allocation)
+            return
+        expected = _reference_pick(spec, free, nthreads, allocation)
+        # Twice: the second call is served by the memo.
+        assert pick_free_cores(spec, free, nthreads, allocation) == expected
+        assert pick_free_cores(spec, free, nthreads, allocation) == expected
+        reordered = sorted(set(free), reverse=True)
+        assert (
+            pick_free_cores(spec, reordered, nthreads, allocation)
+            == expected
+        )

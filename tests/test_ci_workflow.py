@@ -200,6 +200,21 @@ def test_verify_job_gates_serial_and_pool_paths_on_golden(workflow):
     assert "diff tests/golden/run_all_xgene2.txt run_all_serial.txt" in text
 
 
+def test_verify_job_gates_full_refresh_oracle_on_golden(workflow):
+    # The full_refresh oracle replays the whole catalogue too, so every
+    # experiment's fast path is checked against it, not only the
+    # property tests' random workloads.
+    text = _steps_text(workflow["jobs"]["verify"])
+    assert (
+        "REPRO_SIM_FULL_REFRESH=1 repro run-all --jobs 2 --platform xgene2"
+        in text
+    )
+    assert (
+        "diff tests/golden/run_all_xgene2.txt run_all_full_refresh.txt"
+        in text
+    )
+
+
 def test_verify_job_gates_on_structured_manifest(workflow):
     job = workflow["jobs"]["verify"]
     text = _steps_text(job)
