@@ -13,6 +13,7 @@ Figure 4).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..errors import ConfigurationError, SchedulingError
@@ -20,6 +21,13 @@ from .cppc import CppcController
 from .pmu import Pmu
 from .slimpro import SlimPro
 from .specs import ChipSpec, FrequencyClass, get_spec
+
+#: Vmin demand rank of each frequency class (higher needs more volts).
+_CLASS_ORDER = {
+    FrequencyClass.DIVIDE: 0,
+    FrequencyClass.SKIP: 1,
+    FrequencyClass.HIGH: 2,
+}
 
 
 @dataclass(frozen=True)
@@ -35,12 +43,23 @@ class ChipState:
     pmd_frequencies_hz: Tuple[int, ...]
     active_cores: FrozenSet[int]
 
-    @property
+    @cached_property
     def active_pmds(self) -> FrozenSet[int]:
-        """PMDs with at least one active core (the paper's 'utilized PMDs')."""
+        """PMDs with at least one active core (the paper's 'utilized PMDs').
+
+        Computed once per snapshot: a pure function of the frozen
+        fields, so the cached set lives outside ``==``, ``hash`` and
+        ``dataclasses.replace`` (which see fields only) and is dropped
+        from pickles by :meth:`__getstate__`.
+        """
         return frozenset(
             self.spec.pmd_of_core(core) for core in self.active_cores
         )
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("active_pmds", None)
+        return state
 
     @property
     def n_active_cores(self) -> int:
@@ -66,16 +85,11 @@ class ChipState:
         whatever the clocks are doing.
         """
         pmds = self.active_pmds or frozenset(range(self.spec.n_pmds))
-        order = {
-            FrequencyClass.DIVIDE: 0,
-            FrequencyClass.SKIP: 1,
-            FrequencyClass.HIGH: 2,
-        }
         classes = [
             self.spec.frequency_class(self.pmd_frequencies_hz[p])
             for p in pmds
         ]
-        return max(classes, key=order.__getitem__)
+        return max(classes, key=_CLASS_ORDER.__getitem__)
 
 
 class Chip:

@@ -11,32 +11,30 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple
+from typing import Any, NamedTuple, Optional
 
 from ..errors import SimulationError
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Event:
-    """One scheduled event; ordering is (time, insertion sequence)."""
+class Event(NamedTuple):
+    """One scheduled event; ordering is (time, insertion sequence).
+
+    The heap holds the events themselves: ``seq`` is unique, so tuple
+    comparison settles on ``(time_s, seq)`` in C and never reaches
+    ``kind`` or ``payload``.
+    """
 
     time_s: float
     seq: int
-    kind: str = field(compare=False)
-    payload: Any = field(compare=False, default=None)
+    kind: str
+    payload: Any = None
 
 
 class EventQueue:
-    """Time-ordered event queue with stable FIFO tie-breaking.
-
-    The heap holds ``(time_s, seq, event)`` tuples, so ordering compares
-    two floats or ints in C instead of calling the dataclass's
-    ``__lt__``; ``seq`` is unique, so the event itself is never compared.
-    """
+    """Time-ordered event queue with stable FIFO tie-breaking."""
 
     def __init__(self) -> None:
-        self._heap: list[Tuple[float, int, Event]] = []
+        self._heap: list[Event] = []
         self._seq = itertools.count()
         self._cancelled: set[int] = set()
         self._pending: set[int] = set()
@@ -56,9 +54,8 @@ class EventQueue:
         """Add an event; returns it (its ``seq`` can cancel it later)."""
         if time_s < 0:
             raise SimulationError(f"cannot schedule at negative time {time_s}")
-        event = Event(time_s=time_s, seq=next(self._seq), kind=kind,
-                      payload=payload)
-        heapq.heappush(self._heap, (time_s, event.seq, event))
+        event = Event(time_s, next(self._seq), kind, payload)
+        heapq.heappush(self._heap, event)
         self._pending.add(event.seq)
         self.scheduled_total += 1
         return event
@@ -80,7 +77,7 @@ class EventQueue:
         self._drop_cancelled()
         if not self._heap:
             raise SimulationError("pop from empty event queue")
-        event = heapq.heappop(self._heap)[2]
+        event = heapq.heappop(self._heap)
         self._pending.discard(event.seq)
         return event
 
@@ -95,7 +92,7 @@ class EventQueue:
         """
         self._drop_cancelled()
         if self._heap and self._heap[0][0] == time_s:
-            event = heapq.heappop(self._heap)[2]
+            event = heapq.heappop(self._heap)
             self._pending.discard(event.seq)
             return event
         return None

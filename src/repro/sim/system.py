@@ -30,7 +30,8 @@ finish/phase times (which depend on the advancing clock) are recomputed,
 and their cancel+schedule pair is elided when the recomputed time equals
 the scheduled one. Each full refresh also builds the per-tick
 integration rows and droop rates every interval until the next one
-replays. ``ServerSystem(full_refresh=True)`` — or the
+replays, and the trace reads busy cores, voltage and mean clock once
+per chip-state snapshot. ``ServerSystem(full_refresh=True)`` — or the
 ``REPRO_SIM_FULL_REFRESH=1`` environment variable — disables all of it
 and runs the original recompute-everything path; the equivalence
 property suite asserts both modes produce identical results.
@@ -137,6 +138,27 @@ class SystemResult:
         return sum(p.migrations for p in self.processes)
 
 
+def _check_row_inputs(
+    pid: int, freq_hz: int, exec_state: ExecutionState
+) -> None:
+    """Reject row inputs that would make an interval's delta negative
+    (or divide by zero), naming the process."""
+    if freq_hz < 0:
+        raise SimulationError(f"pid {pid}: negative clock {freq_hz} Hz")
+    if exec_state.l3_rate_per_mcycles < 0:
+        raise SimulationError(
+            f"pid {pid}: negative L3 rate {exec_state.l3_rate_per_mcycles}"
+        )
+    if exec_state.effective_activity < 0:
+        raise SimulationError(
+            f"pid {pid}: negative activity {exec_state.effective_activity}"
+        )
+    if exec_state.duration_s <= 0:
+        raise SimulationError(
+            f"pid {pid}: non-positive duration {exec_state.duration_s} s"
+        )
+
+
 def _full_refresh_forced() -> bool:
     """True when the environment forces the recompute-everything oracle."""
     return os.environ.get("REPRO_SIM_FULL_REFRESH", "") not in ("", "0")
@@ -147,8 +169,10 @@ class ServerSystem:
 
     ``full_refresh=True`` (or ``REPRO_SIM_FULL_REFRESH=1`` in the
     environment) disables the incremental refresh, the execution-state
-    cache, the integration rows, reschedule elision and same-timestamp
-    event coalescing, and recomputes the entire system state after every
+    cache, the bandwidth-demand memo, the integration rows (and their
+    once-per-refresh input checks), the trace fields cached per
+    ``ChipState`` snapshot, reschedule elision and same-timestamp event
+    coalescing, and recomputes the entire system state after every
     event — the original hot path, kept as the ground-truth oracle for
     equivalence tests.
     """
@@ -258,12 +282,23 @@ class ServerSystem:
         #: (``None`` while no PMD is active).
         self._droop_freq = 0
         self._droop_rates: Optional[Dict[Tuple[int, int], float]] = None
+        #: (process, duration_s) of each row, in ``_running`` order: the
+        #: completion reschedule's inputs until the next full refresh.
+        self._durations: List[Tuple[SimProcess, float]] = []
+        #: Trace fields (busy cores, voltage, mean active clock) of the
+        #: ``ChipState`` snapshot they were computed from.
+        self._trace_state: Optional[ChipState] = None
+        self._trace_state_fields: Tuple[int, int, float] = (0, 0, 0.0)
+        #: Memos keyed on behaviour identity. Every behaviour object is
+        #: reachable from ``self.processes``, so its id() stays valid
+        #: for the system's lifetime.
         #: (behaviour id, freq, nthreads, shares_pmd, contention) ->
-        #: execution state. Keys hold the behaviour object itself so
-        #: its id() stays valid for the cache's lifetime.
+        #: execution state.
         self._exec_cache: Dict[
-            Tuple[BenchmarkProfile, int, int, bool, float], ExecutionState
+            Tuple[int, int, int, bool, float], ExecutionState
         ] = {}
+        #: (behaviour id, freq) -> uncontended bandwidth demand.
+        self._demands: Dict[Tuple[int, int], float] = {}
         self._refreshes_full = 0
         self._refreshes_incremental = 0
         self._reschedules_elided = 0
@@ -400,15 +435,17 @@ class ServerSystem:
         return action
 
     def _dispatch(self, event: Event) -> None:
-        self._event_counts[event.kind] += 1
-        if event.kind == "arrival":
-            self._handle_arrival(self._by_pid[event.payload])
-        elif event.kind == "finish":
-            self._handle_finish(event)
-        elif event.kind == "phase":
-            self._handle_phase(event)
-        elif event.kind == "tick":
+        kind = event.kind
+        self._event_counts[kind] += 1
+        # Monitor ticks are most of the events: test them first.
+        if kind == "tick":
             self._handle_tick()
+        elif kind == "arrival":
+            self._handle_arrival(self._by_pid[event.payload])
+        elif kind == "finish":
+            self._handle_finish(event)
+        elif kind == "phase":
+            self._handle_phase(event)
         else:  # pragma: no cover - defensive
             raise SimulationError(f"unknown event kind {event.kind!r}")
 
@@ -493,26 +530,33 @@ class ServerSystem:
         else:
             # Replays the oracle's float expressions over the rows built
             # at the last full refresh: ``(l3_rate * freq) * dt`` is the
-            # oracle's ``l3_rate * freq * dt``, operand for operand.
+            # oracle's ``l3_rate * freq * dt``, operand for operand. The
+            # deltas go straight into the registers: ``_build_rows``
+            # checked every input, so with ``dt > 0`` none is negative.
             for (
                 process, counters, freq, l3_rate_freq, activity,
                 duration_s, nthreads, cores,
             ) in self._rows:
                 accesses = (l3_rate_freq * dt / 1e6) * nthreads
-                counters.advance(freq * dt * nthreads, accesses)
+                counters.cycles += freq * dt * nthreads
+                counters.l3_accesses += accesses
                 core_accesses = accesses / nthreads
                 for regs, core_freq in cores:
                     core_cycles = core_freq * dt
-                    regs.advance(
-                        core_cycles, core_cycles * activity, core_accesses
-                    )
-                process.progress(dt / duration_s)
+                    regs.cycles += core_cycles
+                    regs.instructions += core_cycles * activity
+                    regs.l3_accesses += core_accesses
+                remaining = process.remaining_fraction - dt / duration_s
+                # ``max(0.0, remaining)``, NaN and -0.0 included.
+                process.remaining_fraction = (
+                    remaining if remaining > 0.0 else 0.0
+                )
             rates = self._droop_rates
             if rates is not None:
                 cycles = self._droop_freq * dt
-                record = self.chip.pmu.record_droops
+                droops = self.chip.pmu.droop_events
                 for bin_mv, rate in rates.items():
-                    record(bin_mv, rate * cycles / 1e6)
+                    droops[bin_mv] += rate * cycles / 1e6
         self.meter.accumulate(self._power_w, dt)
         if self.thermal is not None:
             self.thermal.step(self._power_w, dt)
@@ -559,39 +603,54 @@ class ServerSystem:
             pmu.record_droops(bin_mv, count)
 
     def _sample_trace_until(self, time_s: float) -> None:
-        if self.trace is None:
+        trace = self.trace
+        if trace is None or self._next_sample_s > time_s + 1e-12:
             return
-        while self._next_sample_s <= time_s + 1e-12:
-            counts = self._class_counts()
-            if self.full_refresh:
-                state = self.chip.state()
-                n_running = len(self.running_processes())
-            else:
-                state = (
-                    self._state
-                    if self._state is not None
-                    else self.chip.state()
-                )
-                n_running = len(self._running)
-            active = state.active_pmds
-            mean_freq = (
-                sum(state.pmd_frequencies_hz[p] for p in active) / len(active)
-                if active
-                else self.spec.fmin_hz
+        # Nothing changes while this call samples: every sample it emits
+        # shares every field except ``time_s``.
+        cpu, mem = self._class_counts()
+        if self.full_refresh:
+            busy, voltage_mv, mean_freq = self._trace_fields(
+                self.chip.state()
             )
-            self.trace.append(
+            n_running = len(self.running_processes())
+        else:
+            state = (
+                self._state if self._state is not None else self.chip.state()
+            )
+            if state is not self._trace_state:
+                self._trace_state = state
+                self._trace_state_fields = self._trace_fields(state)
+            busy, voltage_mv, mean_freq = self._trace_state_fields
+            n_running = len(self._running)
+        power_w = self._power_w
+        period_s = trace.period_s
+        next_s = self._next_sample_s
+        while next_s <= time_s + 1e-12:
+            trace.append(
                 TraceSample(
-                    time_s=self._next_sample_s,
-                    power_w=self._power_w,
-                    busy_cores=len(state.active_cores),
+                    time_s=next_s,
+                    power_w=power_w,
+                    busy_cores=busy,
                     running_processes=n_running,
-                    cpu_intensive=counts[0],
-                    memory_intensive=counts[1],
-                    voltage_mv=state.voltage_mv,
+                    cpu_intensive=cpu,
+                    memory_intensive=mem,
+                    voltage_mv=voltage_mv,
                     mean_active_freq_hz=mean_freq,
                 )
             )
-            self._next_sample_s += self.trace.period_s
+            next_s += period_s
+        self._next_sample_s = next_s
+
+    def _trace_fields(self, state: ChipState) -> Tuple[int, int, float]:
+        """Busy cores, rail voltage and mean active clock of a snapshot."""
+        active = state.active_pmds
+        mean_freq = (
+            sum(state.pmd_frequencies_hz[p] for p in active) / len(active)
+            if active
+            else self.spec.fmin_hz
+        )
+        return len(state.active_cores), state.voltage_mv, mean_freq
 
     def _class_counts(self) -> Tuple[int, int]:
         cpu = mem = 0
@@ -657,7 +716,7 @@ class ServerSystem:
             self._power_w = self._power_base.total_with_leakage_w(
                 self.thermal.leakage_multiplier()
             )
-        self._reschedule_completions(self._running)
+        self._reschedule_completions(self._durations)
         self._audit_cached(state)
 
     def _recompute_all(self) -> None:
@@ -668,6 +727,7 @@ class ServerSystem:
         else:
             running = self._running
         spec = self.spec
+        memo = None if self.full_refresh else self._demands
         demands: List[float] = []
         freqs: Dict[int, int] = {}
         behaviours: Dict[int, BenchmarkProfile] = {}
@@ -676,7 +736,14 @@ class ServerSystem:
             freqs[process.pid] = freq
             behaviour = process.current_profile()
             behaviours[process.pid] = behaviour
-            demand = bandwidth_demand_gbs(behaviour, spec, freq)
+            if memo is None:
+                demand = bandwidth_demand_gbs(behaviour, spec, freq)
+            else:
+                demand_key = (id(behaviour), freq)
+                demand = memo.get(demand_key)
+                if demand is None:
+                    demand = bandwidth_demand_gbs(behaviour, spec, freq)
+                    memo[demand_key] = demand
             demands.extend([demand] * process.nthreads)
         crowd = contention_factor(spec, demands)
         bw_util = bandwidth_utilization(spec, demands)
@@ -688,7 +755,11 @@ class ServerSystem:
             behaviour = behaviours[process.pid]
             exec_state = None
             key = (
-                behaviour, freqs[process.pid], process.nthreads, shares, crowd
+                id(behaviour),
+                freqs[process.pid],
+                process.nthreads,
+                shares,
+                crowd,
             )
             if cache is not None:
                 exec_state = cache.get(key)
@@ -716,26 +787,40 @@ class ServerSystem:
         self._occ_version = self.chip.occupancy_version
         self._freq_version = self.chip.cppc.transition_count()
         self._volt_version = self.chip.slimpro.transition_count()
-        if not self.full_refresh:
+        if self.full_refresh:
+            durations = [
+                (p, self._proc_states[p.pid].duration_s) for p in running
+            ]
+        else:
             self._build_rows(state, running)
+            durations = self._durations
         self._recompute_power(state)
-        self._reschedule_completions(running)
+        self._reschedule_completions(durations)
         self._audit_voltage(state, running)
 
     def _build_rows(
         self, state: ChipState, running: List[SimProcess]
     ) -> None:
         """Cache what every interval until the next full refresh reads:
-        one :class:`TickRow` per process (its cores' PMU banks are
-        bounds-checked here, once), the phased processes, and the droop
-        rates of the active configuration."""
+        one :class:`TickRow` per process, the phased processes, and the
+        droop rates of the active configuration.
+
+        ``_integrate_to`` adds the rows' deltas straight into the
+        registers, so the checks the counter, progress and droop methods
+        would run on every interval run here, once: the cores' PMU banks
+        are bounds-checked, and an input that could make a delta
+        negative raises :class:`SimulationError`.
+        """
         proc_states = self._proc_states
         freqs = self._freqs
         pmu = self.chip.pmu
         rows = []
+        durations = []
         for process in running:
             exec_state = proc_states[process.pid]
             freq = freqs[process.pid]
+            _check_row_inputs(process.pid, freq, exec_state)
+            durations.append((process, exec_state.duration_s))
             rows.append(TickRow(
                 process,
                 process.counters,
@@ -750,6 +835,7 @@ class ServerSystem:
                 ),
             ))
         self._rows = rows
+        self._durations = durations
         self._phased = [
             p for p in running if isinstance(p.profile, PhasedBenchmark)
         ]
@@ -761,12 +847,20 @@ class ServerSystem:
         activity = sum(
             proc_states[p.pid].effective_activity for p in running
         ) / max(1, len(running))
-        self._droop_rates = self.droop_model.rates_per_mcycles(
+        rates = self.droop_model.rates_per_mcycles(
             len(pmds),
             state.worst_active_frequency_class(),
             max(0.05, activity),
             jitter=False,
         )
+        for bin_mv, rate in rates.items():
+            if bin_mv not in pmu.droop_events:
+                raise SimulationError(f"unknown droop bin {bin_mv}")
+            if rate < 0:
+                raise SimulationError(
+                    f"droop bin {bin_mv}: negative rate {rate}"
+                )
+        self._droop_rates = rates
 
     def _recompute_power(self, state: ChipState) -> None:
         if self.thermal is None:
@@ -797,20 +891,30 @@ class ServerSystem:
                     return True
         return False
 
-    def _reschedule_completions(self, running: List[SimProcess]) -> None:
+    def _reschedule_completions(
+        self, durations: List[Tuple[SimProcess, float]]
+    ) -> None:
+        """Move each running process's finish (and phase) event to the
+        instant its current rate reaches; ``durations`` pairs each
+        process with its execution state's ``duration_s``."""
         now = self.now
         elide = not self.full_refresh
+        finish_events = self._finish_events
+        elided = 0
         # A static profile never has a phase event to move.
         phased = self._phased
-        for process in running:
-            exec_state = self._proc_states[process.pid]
-            remaining_s = max(
-                0.0, process.remaining_fraction * exec_state.duration_s
-            )
-            if process.remaining_fraction <= REMAINING_EPS:
+        for process, duration_s in durations:
+            pid = process.pid
+            remaining = process.remaining_fraction
+            if remaining <= REMAINING_EPS:
                 remaining_s = 0.0
+            else:
+                remaining_s = remaining * duration_s
+                # ``max(0.0, remaining_s)``, NaN and -0.0 included.
+                if not remaining_s > 0.0:
+                    remaining_s = 0.0
             time_s = now + remaining_s
-            old = self._finish_events.get(process.pid)
+            old = finish_events.get(pid)
             if (
                 elide
                 and old is not None
@@ -819,17 +923,18 @@ class ServerSystem:
             ):
                 # Identical finish instant strictly in the future: the
                 # pending event already encodes it; skip the churn.
-                self._reschedules_elided += 1
+                elided += 1
             else:
                 if old is not None:
                     self.events.cancel(old)  # reprolint: disable=RL005 -- time changed
-                self._finish_events[process.pid] = self.events.schedule(
-                    time_s, "finish", process.pid
+                finish_events[pid] = self.events.schedule(
+                    time_s, "finish", pid
                 )
-            if not elide or process in phased:
-                self._reschedule_phase(process, exec_state)
+            if not elide or (phased and process in phased):
+                self._reschedule_phase(process, duration_s)
+        self._reschedules_elided += elided
 
-    def _reschedule_phase(self, process, exec_state) -> None:
+    def _reschedule_phase(self, process: SimProcess, duration_s: float) -> None:
         old = self._phase_events.get(process.pid)
         boundary = process.next_phase_boundary()
         if boundary is None:
@@ -838,7 +943,7 @@ class ServerSystem:
                 self.events.cancel(old)
             return
         # Progress advances at 1/duration done-fractions per second.
-        eta_s = (boundary - process.done_fraction) * exec_state.duration_s
+        eta_s = (boundary - process.done_fraction) * duration_s
         time_s = self.now + max(0.0, eta_s)
         if (
             not self.full_refresh

@@ -1,5 +1,8 @@
 """Tests for the runtime chip model and its snapshots."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import ConfigurationError, SchedulingError
@@ -129,6 +132,37 @@ class TestChipState:
             chip2.state().worst_active_frequency_class()
             is FrequencyClass.HIGH
         )
+
+    def test_cached_active_pmds_equals_recomputation(self, chip3):
+        for core in (0, 1, 7, 31):
+            chip3.occupy(core, core)
+        state = chip3.state()
+        expected = frozenset(
+            state.spec.pmd_of_core(c) for c in state.active_cores
+        )
+        assert state.active_pmds == expected
+        # Cached: the same object on every read of one snapshot.
+        assert state.active_pmds is state.active_pmds
+
+    def test_cached_active_pmds_stays_out_of_identity(self, chip2):
+        chip2.occupy(4, "p")
+        cached = chip2.state()
+        fresh = chip2.state()
+        assert cached.active_pmds == frozenset({2})
+        assert "active_pmds" in vars(cached)
+        assert "active_pmds" not in vars(fresh)
+        assert cached == fresh
+        assert hash(cached) == hash(fresh)
+        # ``replace`` builds a new snapshot: nothing carried over.
+        moved = dataclasses.replace(cached, active_cores=frozenset({0}))
+        assert "active_pmds" not in vars(moved)
+        assert moved.active_pmds == frozenset({0})
+        # A pickle round-trip drops the cache and recomputes it.
+        restored = pickle.loads(pickle.dumps(cached))
+        assert "active_pmds" not in vars(restored)
+        assert restored == cached
+        assert pickle.dumps(cached) == pickle.dumps(fresh)
+        assert restored.active_pmds == frozenset({2})
 
     def test_from_name_factory(self):
         chip = Chip.from_name("xgene3", silicon_seed=5)

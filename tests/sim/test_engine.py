@@ -1,9 +1,11 @@
 """Tests for the discrete-event engine."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import EventQueue, SimClock
+from repro.sim.engine import Event, EventQueue, SimClock
 
 
 class TestEventQueue:
@@ -113,6 +115,62 @@ class TestEventQueue:
             e.seq for e in keep
         ]
         assert not queue
+
+
+class TestEventRecord:
+    def test_fifo_tie_break_across_kinds_at_one_instant(self):
+        queue = EventQueue()
+        instant = 0.1 + 0.2
+        order = ["tick", "finish", "arrival", "phase", "finish", "tick"]
+        for i, kind in enumerate(order):
+            queue.schedule(instant, kind, i)
+        popped = [queue.pop() for _ in order]
+        assert [e.kind for e in popped] == order
+        assert [e.payload for e in popped] == list(range(len(order)))
+
+    def test_dict_payloads_never_compared(self):
+        # Dicts have no ordering: any heap comparison that reached the
+        # payload would raise TypeError.
+        queue = EventQueue()
+        for i in range(50):
+            queue.schedule(float(i % 3), "x", {"pid": i})
+        times = []
+        while queue:
+            event = queue.pop()
+            times.append((event.time_s, event.payload["pid"]))
+        assert times == sorted(times)
+
+    def test_event_is_immutable(self):
+        event = EventQueue().schedule(1.0, "x", {"pid": 1})
+        assert isinstance(event, Event)
+        with pytest.raises(AttributeError):
+            event.time_s = 2.0
+        with pytest.raises(AttributeError):
+            event.kind = "y"
+        assert not dataclasses.is_dataclass(event)
+        assert tuple(event) == (1.0, event.seq, "x", {"pid": 1})
+
+    def test_pop_at_is_exact(self):
+        queue = EventQueue()
+        queue.schedule(0.1 + 0.2, "a")
+        queue.schedule(0.3, "b")
+        first = queue.pop()
+        assert first.kind == "b"  # 0.3 < 0.1 + 0.2 in binary floats
+        assert queue.pop_at(0.3) is None
+        assert queue.pop_at(0.30000000000000004).kind == "a"
+        assert queue.pop_at(0.30000000000000004) is None
+
+    def test_pop_at_skips_cancelled_and_keeps_fifo(self):
+        queue = EventQueue()
+        first = queue.schedule(2.0, "first")
+        second = queue.schedule(2.0, "second", {"k": 1})
+        third = queue.schedule(2.0, "third", {"k": 2})
+        queue.schedule(3.0, "later")
+        queue.cancel(second)
+        assert queue.pop().seq == first.seq
+        assert queue.pop_at(2.0).seq == third.seq
+        assert queue.pop_at(2.0) is None
+        assert len(queue) == 1
 
 
 class TestSimClock:

@@ -50,6 +50,11 @@ _POOL = [p.name for p in evaluation_pool()] + [
     "compute-then-writeback",
 ]
 
+#: Trace periods shorter than, equal to and longer than the daemon's
+#: 0.4 s monitor tick: samples landing on a tick, and intervals that
+#: hold several samples.
+TRACE_PERIODS = (0.25, 0.4, 1.0, 3.0)
+
 
 @st.composite
 def workloads(draw, max_cores=8):
@@ -192,6 +197,47 @@ class TestIncrementalEquivalence:
             spec=SPEC3,
             trace_period_s=trace_period_s,
         )
+        assert fast == oracle
+
+    @given(workloads(), st.sampled_from(TRACE_PERIODS))
+    @settings(max_examples=12, deadline=None)
+    def test_baseline_trace_periods_bit_identical(self, workload, period):
+        fast, oracle = run_both(
+            workload, BaselinePolicy, trace_period_s=period
+        )
+        assert fast["trace"]
+        assert fast == oracle
+
+    @given(workloads(), st.sampled_from(TRACE_PERIODS))
+    @settings(max_examples=12, deadline=None)
+    def test_daemon_trace_periods_bit_identical(self, workload, period):
+        fast, oracle = run_both(
+            workload,
+            lambda: OnlineMonitoringDaemon(SPEC2, policy=POLICY2),
+            trace_period_s=period,
+        )
+        assert fast["trace"]
+        assert fast == oracle
+
+    def test_baseline_phased_reference_class_in_trace(self):
+        # No classifier runs under the baseline, so the trace reads each
+        # process's reference class, which flips at every phase
+        # boundary; phase events put samples right at those boundaries.
+        workload = Workload(
+            jobs=(
+                JobSpec(0, "sawtooth", 1, 0.0),
+                JobSpec(1, "stream-compute", 1, 0.3),
+                JobSpec(2, "setup-then-crunch", 1, 1.1),
+            ),
+            duration_s=300.0,
+            max_cores=8,
+            seed=0,
+        )
+        fast, oracle = run_both(
+            workload, BaselinePolicy, trace_period_s=0.25
+        )
+        classes = {(s[4], s[5]) for s in fast["trace"]}
+        assert len(classes) > 2
         assert fast == oracle
 
     @given(workloads(), st.sampled_from([25.0, 85.0]))

@@ -3,12 +3,14 @@
 import pytest
 
 from repro.errors import SimulationError, SystemCrash
-from repro.perf.model import job_duration_s
+from repro.perf.model import ExecutionState, job_duration_s
 from repro.platform.chip import Chip
 from repro.platform.specs import xgene2_spec
 from repro.policies.governors import BaselinePolicy
 from repro.policies.surfaces import Action, Policy, PolicyEvent
+from repro.sim import system as system_module
 from repro.sim.system import ServerSystem
+from repro.vmin.droop import DroopModel
 from repro.workloads.generator import JobSpec, Workload
 from repro.workloads.suites import get_benchmark
 
@@ -147,6 +149,77 @@ class TestPmuAccounting:
     def test_droop_events_recorded(self):
         _, system = run_system([("CG", 8, 0.0)])
         assert sum(system.chip.pmu.droop_events.values()) > 0
+
+
+class TestRowInputChecks:
+    """The fast path adds interval deltas straight into the registers,
+    so the full refresh that builds the rows rejects any input that
+    could make a delta negative, naming the process."""
+
+    @pytest.mark.parametrize(
+        "forged, message",
+        [
+            (
+                ExecutionState(10.0, 0.5, -1.0, 0.5),
+                "pid 0: negative L3 rate",
+            ),
+            (
+                ExecutionState(10.0, 0.5, 100.0, -0.1),
+                "pid 0: negative activity",
+            ),
+            (
+                ExecutionState(0.0, 0.5, 100.0, 0.5),
+                "pid 0: non-positive duration",
+            ),
+            (
+                ExecutionState(-5.0, 0.5, 100.0, 0.5),
+                "pid 0: non-positive duration",
+            ),
+        ],
+    )
+    def test_forged_execution_state_raises_at_full_refresh(
+        self, monkeypatch, forged, message
+    ):
+        monkeypatch.setattr(
+            system_module, "execution_state", lambda *a, **k: forged
+        )
+        system = ServerSystem(
+            Chip(xgene2_spec()),
+            make_workload([("namd", 1, 0.0)]),
+            BaselinePolicy(),
+        )
+        with pytest.raises(SimulationError, match=message):
+            system.run()
+        # Raised by the admission's full refresh, before any interval
+        # was integrated.
+        process = system.processes[0]
+        assert process.is_running
+        assert process.counters.cycles == 0.0
+
+    @pytest.mark.parametrize(
+        "rates, message",
+        [
+            ({(25, 35): -1e-3}, "negative rate"),
+            ({(15, 25): 1e-3}, "unknown droop bin"),
+        ],
+    )
+    def test_forged_droop_rates_raise_at_full_refresh(
+        self, rates, message
+    ):
+        class _ForgedDroops(DroopModel):
+            def rates_per_mcycles(self, *args, **kwargs):
+                return dict(rates)
+
+        spec = xgene2_spec()
+        system = ServerSystem(
+            Chip(spec),
+            make_workload([("namd", 1, 0.0)]),
+            BaselinePolicy(),
+            droop_model=_ForgedDroops(spec),
+        )
+        with pytest.raises(SimulationError, match=message):
+            system.run()
+        assert system.processes[0].counters.cycles == 0.0
 
 
 class _RecklessPolicy(BaselinePolicy):

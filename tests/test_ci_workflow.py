@@ -234,3 +234,20 @@ def test_verify_job_gates_on_structured_manifest(workflow):
     paths = str(uploads[0]["with"]["path"])
     assert "manifest_cold.json" in paths
     assert "manifest_warm.json" in paths
+
+
+def test_verify_job_gates_paper_scale_tables_on_golden(workflow):
+    # The 1-hour, seed-42 Tables III/IV are what the docs quote; both
+    # the incremental path and the full_refresh oracle must print them.
+    text = _steps_text(workflow["jobs"]["verify"])
+    for table in ("table3", "table4"):
+        assert f"repro {table} --duration 3600 --seed 42" in text
+        assert (
+            f"REPRO_SIM_FULL_REFRESH=1 repro {table} --duration 3600 "
+            "--seed 42" in text
+        )
+    assert "diff tests/golden/tables34_seed42.txt tables34.txt" in text
+    assert (
+        "diff tests/golden/tables34_seed42.txt tables34_full_refresh.txt"
+        in text
+    )
