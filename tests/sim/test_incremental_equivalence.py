@@ -17,11 +17,13 @@ monitor periods still in the queue — and covers nothing beyond.
 """
 
 import json
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
+from repro.core.classifier import L3RateClassifier
 from repro.core.policy import VminPolicyTable
 from repro.perf.contention import bandwidth_utilization, contention_factor
 from repro.perf.model import bandwidth_demand_gbs, execution_state
@@ -72,6 +74,39 @@ def workloads(draw, max_cores=8):
     )
 
 
+def edge_threshold(rate, edge, ulps, hysteresis=0.05):
+    """A classifier threshold that puts ``edge`` on ``rate``, ``ulps``
+    steps away.
+
+    ``threshold`` is the edge an unclassified process is judged by; the
+    hysteresis edges ``upper_bound = threshold * (1 + h)`` (a
+    CPU-intensive process) and ``lower_bound = threshold * (1 - h)`` (a
+    memory-intensive one) land on ``rate`` when the threshold is
+    ``rate`` divided by that factor.
+    """
+    threshold = {
+        "threshold": rate,
+        "upper": rate / (1.0 + hysteresis),
+        "lower": rate / (1.0 - hysteresis),
+    }[edge]
+    toward = math.inf if ulps > 0 else 0.0
+    for _ in range(abs(ulps)):
+        threshold = math.nextafter(threshold, toward)
+    return threshold
+
+
+def execution_rates(workload, make_policy, spec=SPEC2):
+    """The distinct ``l3_rate_per_mcycles`` a replay's processes ran at:
+    the pure-window rates the monitor measures, up to float error."""
+    system = ServerSystem(
+        Chip(spec), workload, make_policy(), trace_period_s=None
+    )
+    system.run()
+    return sorted(
+        {state.l3_rate_per_mcycles for state in system._exec_cache.values()}
+    )
+
+
 def observables(result, system):
     """Every field of a run, in raw-float comparable form.
 
@@ -94,7 +129,8 @@ def observables(result, system):
             for s in result.trace.samples
         ]
     pmu = system.chip.pmu
-    monitor = getattr(system.policy, "monitor", None)
+    policy = system.policy
+    monitor = getattr(policy, "monitor", None)
     return {
         "makespan_s": result.makespan_s,
         "energy_j": result.energy_j,
@@ -125,6 +161,23 @@ def observables(result, system):
         "samples_taken": (
             monitor.samples_taken if monitor is not None else None
         ),
+        "snapshots": (
+            sorted(monitor._snapshots.items())
+            if monitor is not None
+            else None
+        ),
+        # Dispatched events per kind. Phase events are left out: when
+        # two fall on one instant, the coalescing fast path dispatches
+        # both, while the oracle's refresh between them moves the second
+        # to its next boundary first; neither changes any state.
+        "event_counts": sorted(
+            (kind, count)
+            for kind, count in system._event_counts.items()
+            if kind != "phase"
+        ),
+        "controller_calls": system._controller_calls,
+        "replans": getattr(policy, "replans", None),
+        "retunes": getattr(policy, "retunes", None),
         "trace": trace,
     }
 
@@ -281,6 +334,35 @@ class TestIncrementalEquivalence:
         fast, oracle = run_both(
             workload, BaselinePolicy, fault_policy="off"
         )
+        assert fast == oracle
+
+    @given(
+        workloads(),
+        st.data(),
+        st.sampled_from(("threshold", "upper", "lower")),
+        st.integers(-4, 4),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_daemon_rates_on_classifier_edges(
+        self, workload, data, edge, ulps
+    ):
+        # A process whose pure-window rate sits on (or a few ulps from)
+        # the edge its class is judged by: float noise in the windowed
+        # counters decides the class tick by tick.
+        rates = execution_rates(
+            workload, lambda: OnlineMonitoringDaemon(SPEC2, policy=POLICY2)
+        )
+        rate = data.draw(st.sampled_from(rates), label="rate")
+        threshold = edge_threshold(rate, edge, ulps)
+
+        def make_policy():
+            return OnlineMonitoringDaemon(
+                SPEC2,
+                policy=POLICY2,
+                classifier=L3RateClassifier(threshold=threshold),
+            )
+
+        fast, oracle = run_both(workload, make_policy)
         assert fast == oracle
 
     def test_env_var_forces_oracle(self, monkeypatch):
