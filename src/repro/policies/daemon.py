@@ -14,7 +14,9 @@ On the policy surfaces the loop reads:
 * ``START``/``STARTED``/``FINISHED`` — full replan of placement, clocks
   and rail;
 * ``TICK`` — one monitor pass; a classification change triggers a
-  retune (clocks and rail only; threads stay put).
+  retune (clocks and rail only; threads stay put). Between refreshes
+  most passes change nothing; the daemon declares the quiet-tick hooks
+  so the engine can replay such passes in one batched step.
 """
 
 from __future__ import annotations
@@ -87,6 +89,16 @@ class OnlineMonitoringDaemon(Policy):
             return self._replan(obs)
         # START / STARTED: (re)place everything that is running.
         return self._replan(obs)
+
+    def quiet_until(self, obs: Observation) -> float:
+        """A tick acts only on a class flip: quiet while the monitor
+        proves none can happen (see
+        :meth:`~repro.core.monitoring.MonitoringDaemon.quiet_until`)."""
+        return self.monitor.quiet_until(obs, self.monitor_period_s)
+
+    def on_folded(self, obs: Observation, n_ticks: int) -> None:
+        """Folded ticks ran quiet monitor passes and nothing else."""
+        self.monitor.on_folded(obs, n_ticks)
 
     def decision_counters(self) -> Dict[str, int]:
         """Replan/retune counters for manifests and ``policy compare``."""

@@ -29,7 +29,9 @@ dispatched on five event kinds (:class:`PolicyEvent`). Policies that
 need the *post-actuation* machine state (the Fig. 13 flow tracer, or
 audit tooling) additionally override :meth:`Policy.on_applied`; the
 engine detects the override once per run and skips the hook entirely
-otherwise.
+otherwise. A ticking policy whose ticks usually decide nothing may
+declare the :meth:`Policy.quiet_until`/:meth:`Policy.on_folded` pair,
+which lets the engine replay provably silent ticks in one batched step.
 """
 
 from __future__ import annotations
@@ -153,6 +155,13 @@ class Observation:
         """Accumulated chip energy since the run started, J."""
         return self.system.meter.energy_j
 
+    @property
+    def steady_since_s(self) -> float:
+        """Time of the last full refresh, seconds: since then every
+        running process's cores, clock and execution state, hence its
+        counter rates, have been constant."""
+        return self.system.steady_since_s
+
     # -- workload ------------------------------------------------------------
 
     def running_processes(self) -> List["SimProcess"]:
@@ -239,6 +248,27 @@ class Policy:
         Only invoked when a subclass overrides it — the dispatch loop
         checks once per run and skips the call entirely otherwise, so
         ordinary policies pay nothing for it.
+        """
+
+    def quiet_until(self, obs: Observation) -> float:
+        """Time before which every ``TICK`` decision is provably ``None``.
+
+        Asked at a tick, after the interval up to it was integrated and
+        before the tick is dispatched. The answer may assume that no
+        other event intervenes: the engine only uses it up to the next
+        non-tick event. The default proves nothing. A policy opts in by
+        declaring this hook and :meth:`on_folded` on its own class (a
+        subclass that changes what its ticks decide must not inherit
+        them); the engine checks once per run.
+        """
+        return obs.now
+
+    def on_folded(self, obs: Observation, n_ticks: int) -> None:
+        """Account for ``n_ticks`` quiet ticks the engine did not dispatch.
+
+        Called once per batched step, at the last folded tick's instant,
+        instead of ``decide``: it must leave the policy's state as
+        ``n_ticks`` real ``TICK`` decisions would have.
         """
 
     def decision_counters(self) -> Dict[str, int]:

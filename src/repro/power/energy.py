@@ -9,7 +9,7 @@ metric that weighs performance more heavily than EDP.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..units import Joules, Seconds, Watts
@@ -62,17 +62,31 @@ class EnergyMeter:
 
     def accumulate(self, power_w: Watts, dt_s: Seconds) -> None:
         """Add an interval of constant power."""
-        if dt_s < 0:
-            raise ConfigurationError("interval must be non-negative")
+        self.accumulate_each(power_w, (dt_s,))
+
+    def accumulate_each(
+        self, power_w: Watts, intervals: Sequence[Seconds]
+    ) -> None:
+        """Add consecutive intervals at one constant power, in order:
+        the same sums :meth:`accumulate` makes, one call per interval."""
         if power_w < 0:
             raise ConfigurationError("power must be non-negative")
-        if dt_s == 0:
-            return
-        if self.keep_samples:
-            self.samples.append((self._time_s, dt_s, power_w))
-        self.energy_j += power_w * dt_s
-        self.elapsed_s += dt_s
-        self._time_s += dt_s
+        energy_j = self.energy_j
+        elapsed_s = self.elapsed_s
+        time_s = self._time_s
+        for dt_s in intervals:
+            if dt_s < 0:
+                raise ConfigurationError("interval must be non-negative")
+            if dt_s == 0:
+                continue
+            if self.keep_samples:
+                self.samples.append((time_s, dt_s, power_w))
+            energy_j += power_w * dt_s
+            elapsed_s += dt_s
+            time_s += dt_s
+        self.energy_j = energy_j
+        self.elapsed_s = elapsed_s
+        self._time_s = time_s
 
     @property
     def average_power_w(self) -> Watts:

@@ -60,6 +60,29 @@ class EventQueue:
         self.scheduled_total += 1
         return event
 
+    def reserve(self, count: int = 1) -> int:
+        """Count ``count`` (>= 1) schedules and return the last one's
+        sequence number.
+
+        Their events enter the queue later, through
+        :meth:`schedule_reserved`, or never, when their times are
+        replayed in place (the simulator's folded ticks); either way
+        each keeps the FIFO rank of the moment it was reserved.
+        """
+        self.scheduled_total += count
+        return next(itertools.islice(self._seq, count - 1, None))
+
+    def schedule_reserved(
+        self, time_s: float, seq: int, kind: str, payload: Any = None
+    ) -> Event:
+        """Add an event under a sequence number from :meth:`reserve`."""
+        if time_s < 0:
+            raise SimulationError(f"cannot schedule at negative time {time_s}")
+        event = Event(time_s, seq, kind, payload)
+        heapq.heappush(self._heap, event)
+        self._pending.add(seq)
+        return event
+
     def cancel(self, event: Event) -> None:
         """Lazily cancel a scheduled event (no-op if already popped)."""
         if event.seq in self._pending:

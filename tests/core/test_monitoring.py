@@ -1,24 +1,34 @@
 """Tests for the daemon's monitoring half (paper Section VI.A)."""
 
+import math
+
 import pytest
 
+from repro import telemetry
+from repro.core.classifier import L3RateClassifier
 from repro.core.monitoring import (
     MIN_WINDOW_CYCLES,
+    QUIET_HORIZON_TICKS,
+    UNIT_ROUNDOFF,
     MonitoringDaemon,
     PerfLikeReader,
     kernel_module_reader,
 )
 from repro.errors import ConfigurationError
+from repro.telemetry import names as metric_names
 from repro.sim.process import SimProcess, WorkloadClass
 from repro.workloads.suites import get_benchmark
 
 
 class FakeSystem:
-    """Minimal stand-in exposing running_processes() and a chip."""
+    """Minimal stand-in: running_processes(), a chip, the clock and the
+    time of the last full refresh."""
 
     def __init__(self, processes, chip=None):
         self._processes = processes
         self.chip = chip
+        self.now = 0.0
+        self.steady_since_s = 0.0
 
     def running_processes(self):
         return self._processes
@@ -158,3 +168,196 @@ class TestValidation:
     def test_bad_window(self):
         with pytest.raises(ConfigurationError):
             MonitoringDaemon(min_window_cycles=0)
+
+
+PERIOD_S = 0.4
+#: One tick's worth of cycles at 2.4 GHz.
+TICK_CYCLES = 2.4e9 * PERIOD_S
+
+
+def documented_margin(cycles, accesses, dcycles, daccesses, now):
+    """The relative rate margin ``quiet_until``'s docstring derives:
+    each counter's error bound ``4 * (u * X + sigma * D)`` over its
+    window delta, plus the rate's own roundings."""
+    u = UNIT_ROUNDOFF
+    horizon = QUIET_HORIZON_TICKS
+    sigma = math.ulp(now + horizon * PERIOD_S) / PERIOD_S + 8 * u
+    err_cycles = 4 * (u * (cycles + horizon * dcycles) + sigma * dcycles)
+    err_accesses = 4 * (
+        u * (accesses + horizon * daccesses) + sigma * daccesses
+    )
+    return err_cycles / dcycles + err_accesses / daccesses + 8 * u
+
+
+def open_window(rate, was, lifetime_ticks=100, tick_cycles=TICK_CYCLES):
+    """A monitor, a process of class ``was`` and a system clock one
+    period after the pass that opened a pure window on it; the window
+    holds one tick at ``rate`` L3C accesses per million cycles."""
+    monitor = MonitoringDaemon()
+    proc = running_proc(1, "CG")
+    proc.observed_class = was
+    proc.counters.advance(
+        lifetime_ticks * tick_cycles,
+        lifetime_ticks * tick_cycles * rate / 1e6,
+    )
+    system = FakeSystem([proc])
+    system.now = 100.0
+    system.steady_since_s = 50.0
+    monitor.sample(system)  # opens the window (first read)
+    proc.counters.advance(tick_cycles, tick_cycles * rate / 1e6)
+    system.now = 100.0 + PERIOD_S
+    return monitor, proc, system
+
+
+def margin_of(proc, monitor, system):
+    cycles, accesses, _ = monitor._snapshots[proc.pid]
+    return documented_margin(
+        proc.counters.cycles,
+        proc.counters.l3_accesses,
+        proc.counters.cycles - cycles,
+        proc.counters.l3_accesses - accesses,
+        system.now,
+    )
+
+
+class TestQuietUntil:
+    def is_quiet(self, monitor, system):
+        return monitor.quiet_until(system, PERIOD_S) > system.now
+
+    def test_far_from_every_edge_is_quiet_for_the_horizon(self):
+        monitor, _, system = open_window(
+            1000.0, WorkloadClass.CPU_INTENSIVE
+        )
+        assert monitor.quiet_until(system, PERIOD_S) == (
+            system.now + (QUIET_HORIZON_TICKS - 1) * PERIOD_S
+        )
+
+    def test_margin_is_the_documented_float_error_bound(self):
+        # Well outside the derived margin is quiet, well inside is not;
+        # the margin itself is float noise, far below the hysteresis.
+        upper = L3RateClassifier().upper_bound
+        monitor, proc, system = open_window(
+            upper, WorkloadClass.CPU_INTENSIVE
+        )
+        margin = margin_of(proc, monitor, system)
+        assert 0 < margin < 1e-9
+        for factor, quiet in ((4.0, True), (0.125, False)):
+            monitor, _, system = open_window(
+                upper * (1 - factor * margin), WorkloadClass.CPU_INTENSIVE
+            )
+            assert self.is_quiet(monitor, system) is quiet
+
+    def test_margin_grows_with_counter_magnitude(self):
+        upper = L3RateClassifier().upper_bound
+        monitor, proc, system = open_window(
+            upper, WorkloadClass.CPU_INTENSIVE
+        )
+        margin = margin_of(proc, monitor, system)
+        rate = upper * (1 - 4 * margin)
+        monitor, _, system = open_window(rate, WorkloadClass.CPU_INTENSIVE)
+        assert self.is_quiet(monitor, system)
+        # Same rate and window on a counter 10,000x further along: its
+        # magnitude at the horizon, hence the margin, is ~16x larger.
+        monitor, _, system = open_window(
+            rate, WorkloadClass.CPU_INTENSIVE, lifetime_ticks=1_000_000
+        )
+        assert not self.is_quiet(monitor, system)
+
+    @pytest.mark.parametrize(
+        "was, edge, side",
+        [
+            (WorkloadClass.CPU_INTENSIVE, "upper_bound", -1),
+            (WorkloadClass.CPU_INTENSIVE, "upper_bound", +1),
+            (WorkloadClass.MEMORY_INTENSIVE, "lower_bound", +1),
+            (WorkloadClass.MEMORY_INTENSIVE, "lower_bound", -1),
+            (WorkloadClass.UNKNOWN, "threshold", -1),
+            (WorkloadClass.UNKNOWN, "threshold", +1),
+        ],
+    )
+    def test_rate_inside_the_margin_of_its_edge_is_not_quiet(
+        self, was, edge, side
+    ):
+        value = getattr(L3RateClassifier(), edge)
+        monitor, proc, system = open_window(value, was)
+        margin = margin_of(proc, monitor, system)
+        monitor, _, system = open_window(
+            value * (1 + side * margin / 8), was
+        )
+        assert not self.is_quiet(monitor, system)
+
+    def test_unclassified_process_is_not_quiet(self):
+        # Its first full window sets a class, whatever the rate.
+        monitor, _, system = open_window(10.0, WorkloadClass.UNKNOWN)
+        assert not self.is_quiet(monitor, system)
+
+    def test_missed_cycle_window_is_not_quiet(self):
+        monitor, _, system = open_window(
+            1000.0,
+            WorkloadClass.CPU_INTENSIVE,
+            tick_cycles=MIN_WINDOW_CYCLES * 0.999,
+        )
+        assert not self.is_quiet(monitor, system)
+        # Met by less than the margin: a later window may miss it.
+        monitor, _, system = open_window(
+            1000.0,
+            WorkloadClass.CPU_INTENSIVE,
+            tick_cycles=MIN_WINDOW_CYCLES * (1 + 1e-14),
+        )
+        assert not self.is_quiet(monitor, system)
+
+    def test_process_without_snapshot_is_not_quiet(self):
+        monitor, _, system = open_window(1000.0, WorkloadClass.CPU_INTENSIVE)
+        newcomer = running_proc(2, "namd")
+        newcomer.observed_class = WorkloadClass.CPU_INTENSIVE
+        system._processes.append(newcomer)
+        assert not self.is_quiet(monitor, system)
+
+    def test_window_across_a_full_refresh_is_not_quiet(self):
+        monitor, _, system = open_window(1000.0, WorkloadClass.CPU_INTENSIVE)
+        system.steady_since_s = system.now - PERIOD_S / 2
+        assert not self.is_quiet(monitor, system)
+
+    def test_window_longer_than_one_period_is_not_quiet(self):
+        monitor, _, system = open_window(1000.0, WorkloadClass.CPU_INTENSIVE)
+        system.now += PERIOD_S
+        assert not self.is_quiet(monitor, system)
+
+    def test_noisy_reader_is_never_quiet(self):
+        monitor, _, system = open_window(1000.0, WorkloadClass.CPU_INTENSIVE)
+        monitor.reader = PerfLikeReader(0.03, seed=1)
+        assert not self.is_quiet(monitor, system)
+
+    def test_no_running_process_is_quiet(self):
+        monitor = MonitoringDaemon()
+        system = FakeSystem([])
+        assert self.is_quiet(monitor, system)
+
+
+class TestOnFolded:
+    def test_leaves_the_monitor_as_real_passes_would(self):
+        n_passes = 7
+
+        def replay(fold):
+            monitor = MonitoringDaemon()
+            procs = [running_proc(1, "CG"), running_proc(2, "namd", 2)]
+            system = FakeSystem(procs)
+            with telemetry.session() as registry:
+                for tick in range(2 + n_passes):
+                    system.now = tick * PERIOD_S
+                    for proc in procs:
+                        proc.counters.advance(
+                            TICK_CYCLES * proc.nthreads, 1234.5 * proc.pid
+                        )
+                    if not fold or tick < 2:
+                        monitor.sample(system)
+                if fold:
+                    monitor.on_folded(system, n_passes)
+                counters = registry.snapshot()["counters"]
+            return (
+                dict(monitor._snapshots),
+                monitor.samples_taken,
+                counters[metric_names.DAEMON_CLASSIFICATIONS],
+                [proc.observed_class for proc in procs],
+            )
+
+        assert replay(fold=True) == replay(fold=False)

@@ -251,3 +251,17 @@ def test_verify_job_gates_paper_scale_tables_on_golden(workflow):
         "diff tests/golden/tables34_seed42.txt tables34_full_refresh.txt"
         in text
     )
+
+
+def test_verify_job_diffs_held_out_tables_against_full_refresh(workflow):
+    # A seed nobody tuned (2027) at paper scale: the fast path, quiet-tick
+    # folding included, must print what the recompute-everything oracle
+    # prints.
+    text = _steps_text(workflow["jobs"]["verify"])
+    for table in ("table3", "table4"):
+        assert f"repro {table} --duration 3600 --seed 2027" in text
+        assert (
+            f"REPRO_SIM_FULL_REFRESH=1 repro {table} --duration 3600 "
+            "--seed 2027" in text
+        )
+    assert "diff tables34_2027_full_refresh.txt tables34_2027.txt" in text
