@@ -35,10 +35,13 @@ per chip-state snapshot. Monitor ticks a policy proves silent
 (:meth:`~repro.policies.surfaces.Policy.quiet_until`) are *folded*:
 the ticks before the next other event replay in one batched step that
 skips their policy pass and queue round trip.
-``ServerSystem(full_refresh=True)`` — or the
-``REPRO_SIM_FULL_REFRESH=1`` environment variable — disables all of it
-and runs the original recompute-everything path; the equivalence
-property suite asserts both modes produce identical results.
+
+The original recompute-everything flow is a separate simulator,
+:class:`~repro.sim.reference.ReferenceServerSystem`, which overrides
+the few methods that flow does differently. ``REPRO_SIM_FULL_REFRESH=1``
+in the environment makes every ``ServerSystem(...)`` construction
+return it; the equivalence property suite asserts both produce
+identical results.
 """
 
 from __future__ import annotations
@@ -105,7 +108,7 @@ class TickRow(NamedTuple):
     process: SimProcess
     counters: ProcessCounters
     freq_hz: int
-    #: ``l3_rate_per_mcycles * freq_hz``: the oracle's leading product.
+    #: ``l3_rate_per_mcycles * freq_hz``: the reference's leading product.
     l3_rate_freq: float
     activity: float
     duration_s: float
@@ -165,29 +168,35 @@ def _check_row_inputs(
         )
 
 
-def _full_refresh_forced() -> bool:
-    """True when the environment forces the recompute-everything oracle."""
-    return os.environ.get("REPRO_SIM_FULL_REFRESH", "") not in ("", "0")
-
-
 class ServerSystem:
     """Replays one workload on one chip under one control policy.
 
-    ``full_refresh=True`` (or ``REPRO_SIM_FULL_REFRESH=1`` in the
-    environment) disables the incremental refresh, the execution-state
-    cache, the bandwidth-demand memo, the integration rows (and their
-    once-per-refresh input checks), the trace fields cached per
-    ``ChipState`` snapshot, reschedule elision, same-timestamp event
-    coalescing and quiet-tick folding, and recomputes the entire system
-    state after every event — the original hot path, kept as the
-    ground-truth oracle for equivalence tests.
+    This is the incremental path: dirty-set refresh, memoized demands
+    and execution states, integration rows, per-snapshot trace fields,
+    reschedule elision, same-timestamp event coalescing and quiet-tick
+    folding. With ``REPRO_SIM_FULL_REFRESH`` set (to anything but
+    ``0``) in the environment, construction returns a
+    :class:`~repro.sim.reference.ReferenceServerSystem` instead: the
+    original recompute-everything flow, kept as the ground-truth oracle.
 
-    Folding also stays off under ``fault_policy="raise"``, under a
-    thermal model (power moves on every tick), for a policy that
-    overrides ``on_applied``, and for one whose own class does not
-    declare ``quiet_until`` (see :meth:`_fold_ticks`). ``ticks_folded``
-    counts the ticks it replayed.
+    Folding stays off under a thermal model (power moves on every
+    tick), for a policy that overrides ``on_applied``, and for one whose
+    own class does not declare ``quiet_until`` (see
+    :meth:`_fold_ticks`). ``ticks_folded`` counts the ticks it replayed.
     """
+
+    #: Coalescing batches same-time events behind one refresh, keeping
+    #: one safety audit per event; quiet-tick folding builds on it.
+    _coalesce = True
+
+    def __new__(cls, *args, **kwargs):
+        if cls is ServerSystem and os.environ.get(
+            "REPRO_SIM_FULL_REFRESH", ""
+        ) not in ("", "0"):
+            from .reference import ReferenceServerSystem
+
+            cls = ReferenceServerSystem
+        return super().__new__(cls)
 
     def __init__(
         self,
@@ -200,7 +209,6 @@ class ServerSystem:
         fault_policy: str = "record",
         trace_period_s: Optional[float] = 1.0,
         thermal_model: Optional[ThermalModel] = None,
-        full_refresh: bool = False,
     ):
         if fault_policy not in ("record", "raise", "off"):
             raise SimulationError(f"unknown fault policy {fault_policy!r}")
@@ -217,11 +225,6 @@ class ServerSystem:
         self.vmin_model = vmin_model or VminModel.for_chip(chip)
         self.droop_model = droop_model or DroopModel(chip.spec)
         self.fault_policy = fault_policy
-        self.full_refresh = full_refresh or _full_refresh_forced()
-        #: Coalescing batches same-time events behind one refresh; the
-        #: ``raise`` policy must keep the old one-refresh-per-event flow
-        #: so a crash surfaces at the same mid-batch instant it used to.
-        self._coalesce = not self.full_refresh and fault_policy != "raise"
         #: Quiet-tick folding needs the coalescing flow, constant power
         #: between refreshes, no post-actuation hook, and the hook pair
         #: declared on the policy's own class: a subclass may change
@@ -268,10 +271,9 @@ class ServerSystem:
         self._proc_states: Dict[int, ExecutionState] = {}
         self._power_w = 0.0
         #: Power breakdown of the last recompute at leakage multiplier
-        #: 1.0 (thermal runs on the incremental path only).
+        #: 1.0.
         self._power_base: Optional[PowerBreakdown] = None
         self._pending_arrivals = 0
-        self._crashed = False
         #: Events dispatched per kind + policy dispatch invocations;
         #: preallocated Counter/int slots, flushed into telemetry at
         #: end of run.
@@ -338,9 +340,11 @@ class ServerSystem:
 
     def running_processes(self) -> List[SimProcess]:
         """Processes currently occupying cores."""
-        if self.full_refresh:
-            return [p for p in self.processes if p.is_running]
-        return list(self._running)
+        return list(self._live())
+
+    def _live(self) -> List[SimProcess]:
+        """The running processes in ``self.processes`` order; not a copy."""
+        return self._running
 
     def migrate(self, process: SimProcess, cores: Sequence[int]) -> None:
         """Move a running process to new cores (actuation API)."""
@@ -419,8 +423,6 @@ class ServerSystem:
                     self._dispatch(batched)
                     batched = events.pop_at(event.time_s)
             self._refresh()
-            if self._crashed:
-                break
         makespan = self._makespan()
         # Energy integrates exactly to the last dispatched event — which
         # may trail the last finish by up to one monitor period (idle
@@ -537,11 +539,9 @@ class ServerSystem:
 
     def _handle_tick(self) -> None:
         self._dispatch_policy(PolicyEvent.TICK)
-        if self.full_refresh:
-            busy = any(p.is_running for p in self.processes)
-        else:
-            busy = bool(self._running)
-        work_left = self._pending_arrivals > 0 or bool(self.queue) or busy
+        work_left = (
+            self._pending_arrivals > 0 or bool(self.queue) or bool(self._live())
+        )
         if work_left and self.policy.monitor_period_s:
             self.events.schedule(
                 self.now + self.policy.monitor_period_s, "tick"
@@ -781,38 +781,7 @@ class ServerSystem:
         if dt <= 0:
             self._sample_trace_until(time_s)
             return
-        if self.full_refresh:
-            self._integrate_oracle(dt)
-        else:
-            # Replays the oracle's float expressions over the rows built
-            # at the last full refresh: ``(l3_rate * freq) * dt`` is the
-            # oracle's ``l3_rate * freq * dt``, operand for operand. The
-            # deltas go straight into the registers: ``_build_rows``
-            # checked every input, so with ``dt > 0`` none is negative.
-            for (
-                process, counters, freq, l3_rate_freq, activity,
-                duration_s, nthreads, cores,
-            ) in self._rows:
-                accesses = (l3_rate_freq * dt / 1e6) * nthreads
-                counters.cycles += freq * dt * nthreads
-                counters.l3_accesses += accesses
-                core_accesses = accesses / nthreads
-                for regs, core_freq in cores:
-                    core_cycles = core_freq * dt
-                    regs.cycles += core_cycles
-                    regs.instructions += core_cycles * activity
-                    regs.l3_accesses += core_accesses
-                remaining = process.remaining_fraction - dt / duration_s
-                # ``max(0.0, remaining)``, NaN and -0.0 included.
-                process.remaining_fraction = (
-                    remaining if remaining > 0.0 else 0.0
-                )
-            rates = self._droop_rates
-            if rates is not None:
-                cycles = self._droop_freq * dt
-                droops = self.chip.pmu.droop_events
-                for bin_mv, rate in rates.items():
-                    droops[bin_mv] += rate * cycles / 1e6
+        self._advance(dt)
         self.meter.accumulate(self._power_w, dt)
         if self.thermal is not None:
             self.thermal.step(self._power_w, dt)
@@ -821,42 +790,37 @@ class ServerSystem:
             )
         self._sample_trace_until(time_s)
 
-    def _integrate_oracle(self, dt: float) -> None:
-        """Advance counters, progress and droops from the live chip."""
-        state = self.chip.state()
-        running = self.running_processes()
-        proc_states = self._proc_states
-        pmu = self.chip.pmu
-        for process in running:
-            exec_state = proc_states[process.pid]
-            freq = self.process_frequency_hz(process)
-            cycles = freq * dt * process.nthreads
-            accesses = (
-                exec_state.l3_rate_per_mcycles * freq * dt / 1e6
-            ) * process.nthreads
-            process.counters.advance(cycles, accesses)
-            for core in process.cores:
-                core_freq = state.frequency_of_core(core)
-                pmu.core(core).advance(
-                    cycles=core_freq * dt,
-                    instructions=core_freq * dt * exec_state.effective_activity,
-                    l3_accesses=accesses / process.nthreads,
-                )
-            process.progress(dt / exec_state.duration_s)
-        pmds = state.active_pmds
-        if not pmds:
-            return
-        activity = sum(
-            proc_states[p.pid].effective_activity for p in running
-        ) / max(1, len(running))
-        events = self.droop_model.events_for_interval(
-            utilized_pmds=len(pmds),
-            cycles=state.max_active_frequency() * dt,
-            freq_class=state.worst_active_frequency_class(),
-            activity=max(0.05, activity),
-        )
-        for bin_mv, count in events.items():
-            pmu.record_droops(bin_mv, count)
+    def _advance(self, dt: float) -> None:
+        """Advance counters, progress and droops by one interval.
+
+        Replays the reference's float expressions over the rows built at
+        the last full refresh: ``(l3_rate * freq) * dt`` is the
+        reference's ``l3_rate * freq * dt``, operand for operand. The
+        deltas go straight into the registers: ``_build_rows`` checked
+        every input, so with ``dt > 0`` none is negative.
+        """
+        for (
+            process, counters, freq, l3_rate_freq, activity,
+            duration_s, nthreads, cores,
+        ) in self._rows:
+            accesses = (l3_rate_freq * dt / 1e6) * nthreads
+            counters.cycles += freq * dt * nthreads
+            counters.l3_accesses += accesses
+            core_accesses = accesses / nthreads
+            for regs, core_freq in cores:
+                core_cycles = core_freq * dt
+                regs.cycles += core_cycles
+                regs.instructions += core_cycles * activity
+                regs.l3_accesses += core_accesses
+            remaining = process.remaining_fraction - dt / duration_s
+            # ``max(0.0, remaining)``, NaN and -0.0 included.
+            process.remaining_fraction = remaining if remaining > 0.0 else 0.0
+        rates = self._droop_rates
+        if rates is not None:
+            cycles = self._droop_freq * dt
+            droops = self.chip.pmu.droop_events
+            for bin_mv, rate in rates.items():
+                droops[bin_mv] += rate * cycles / 1e6
 
     def _sample_trace_until(self, time_s: float) -> None:
         trace = self.trace
@@ -865,20 +829,8 @@ class ServerSystem:
         # Nothing changes while this call samples: every sample it emits
         # shares every field except ``time_s``.
         cpu, mem = self._class_counts()
-        if self.full_refresh:
-            busy, voltage_mv, mean_freq = self._trace_fields(
-                self.chip.state()
-            )
-            n_running = len(self.running_processes())
-        else:
-            state = (
-                self._state if self._state is not None else self.chip.state()
-            )
-            if state is not self._trace_state:
-                self._trace_state = state
-                self._trace_state_fields = self._trace_fields(state)
-            busy, voltage_mv, mean_freq = self._trace_state_fields
-            n_running = len(self._running)
+        busy, voltage_mv, mean_freq = self._trace_now()
+        n_running = len(self._live())
         power_w = self._power_w
         period_s = trace.period_s
         next_s = self._next_sample_s
@@ -898,6 +850,15 @@ class ServerSystem:
             next_s += period_s
         self._next_sample_s = next_s
 
+    def _trace_now(self) -> Tuple[int, int, float]:
+        """The trace fields of the current state, computed once per
+        ``ChipState`` snapshot."""
+        state = self._state if self._state is not None else self.chip.state()
+        if state is not self._trace_state:
+            self._trace_state = state
+            self._trace_state_fields = self._trace_fields(state)
+        return self._trace_state_fields
+
     def _trace_fields(self, state: ChipState) -> Tuple[int, int, float]:
         """Busy cores, rail voltage and mean active clock of a snapshot."""
         active = state.active_pmds
@@ -910,10 +871,7 @@ class ServerSystem:
 
     def _class_counts(self) -> Tuple[int, int]:
         cpu = mem = 0
-        running = (
-            self.running_processes() if self.full_refresh else self._running
-        )
-        for process in running:
+        for process in self._live():
             label = process.observed_class
             if label is WorkloadClass.UNKNOWN:
                 label = process.reference_class
@@ -939,10 +897,6 @@ class ServerSystem:
           thermal model also the leakage term of the cached power
           breakdown, the only part of power temperature moves.
         """
-        if self.full_refresh:
-            self._refreshes_full += 1
-            self._recompute_all()
-            return
         chip = self.chip
         dirty = (
             chip.occupancy_version != self._occ_version
@@ -979,12 +933,8 @@ class ServerSystem:
         """Full refresh: rebuild every derived quantity from the chip."""
         self.steady_since_s = self.now
         state = self.chip.state()
-        if self.full_refresh:
-            running = [p for p in self.processes if p.is_running]
-        else:
-            running = self._running
+        running = self._live()
         spec = self.spec
-        memo = None if self.full_refresh else self._demands
         demands: List[float] = []
         freqs: Dict[int, int] = {}
         behaviours: Dict[int, BenchmarkProfile] = {}
@@ -993,46 +943,19 @@ class ServerSystem:
             freqs[process.pid] = freq
             behaviour = process.current_profile()
             behaviours[process.pid] = behaviour
-            if memo is None:
-                demand = bandwidth_demand_gbs(behaviour, spec, freq)
-            else:
-                demand_key = (id(behaviour), freq)
-                demand = memo.get(demand_key)
-                if demand is None:
-                    demand = bandwidth_demand_gbs(behaviour, spec, freq)
-                    memo[demand_key] = demand
-            demands.extend([demand] * process.nthreads)
+            demands.extend([self._demand(behaviour, freq)] * process.nthreads)
         crowd = contention_factor(spec, demands)
         bw_util = bandwidth_utilization(spec, demands)
         activity_map: Dict[int, float] = {}
-        cache = None if self.full_refresh else self._exec_cache
         self._proc_states = {}
         for process in running:
-            shares = self._shares_pmd(process)
-            behaviour = behaviours[process.pid]
-            exec_state = None
-            key = (
-                id(behaviour),
+            exec_state = self._execution_state(
+                behaviours[process.pid],
                 freqs[process.pid],
                 process.nthreads,
-                shares,
+                self._shares_pmd(process),
                 crowd,
             )
-            if cache is not None:
-                exec_state = cache.get(key)
-            if exec_state is None:
-                exec_state = execution_state(
-                    behaviour,
-                    spec,
-                    freqs[process.pid],
-                    nthreads=process.nthreads,
-                    shares_pmd=shares,
-                    contention=crowd,
-                )
-                if cache is not None:
-                    if len(cache) >= EXEC_STATE_CACHE_MAX:
-                        cache.clear()
-                    cache[key] = exec_state
             self._proc_states[process.pid] = exec_state
             for core in process.cores:
                 activity_map[core] = exec_state.effective_activity
@@ -1044,23 +967,55 @@ class ServerSystem:
         self._occ_version = self.chip.occupancy_version
         self._freq_version = self.chip.cppc.transition_count()
         self._volt_version = self.chip.slimpro.transition_count()
-        if self.full_refresh:
-            durations = [
-                (p, self._proc_states[p.pid].duration_s) for p in running
-            ]
-        else:
-            self._build_rows(state, running)
-            durations = self._durations
+        durations = self._build_rows(state, running)
         self._recompute_power(state)
         self._reschedule_completions(durations)
         self._audit_voltage(state, running)
 
+    def _demand(self, behaviour: BenchmarkProfile, freq_hz: int) -> float:
+        """Uncontended bandwidth demand, memoized per (behaviour, clock)."""
+        key = (id(behaviour), freq_hz)
+        demand = self._demands.get(key)
+        if demand is None:
+            demand = bandwidth_demand_gbs(behaviour, self.spec, freq_hz)
+            self._demands[key] = demand
+        return demand
+
+    def _execution_state(
+        self,
+        behaviour: BenchmarkProfile,
+        freq_hz: int,
+        nthreads: int,
+        shares_pmd: bool,
+        contention: float,
+    ) -> ExecutionState:
+        """:func:`~repro.perf.model.execution_state`, memoized on its
+        inputs (the behaviour by identity)."""
+        cache = self._exec_cache
+        key = (id(behaviour), freq_hz, nthreads, shares_pmd, contention)
+        exec_state = cache.get(key)
+        if exec_state is None:
+            exec_state = execution_state(
+                behaviour,
+                self.spec,
+                freq_hz,
+                nthreads=nthreads,
+                shares_pmd=shares_pmd,
+                contention=contention,
+            )
+            if len(cache) >= EXEC_STATE_CACHE_MAX:
+                cache.clear()
+            cache[key] = exec_state
+        return exec_state
+
     def _build_rows(
         self, state: ChipState, running: List[SimProcess]
-    ) -> None:
+    ) -> List[Tuple[SimProcess, float]]:
         """Cache what every interval until the next full refresh reads:
         one :class:`TickRow` per process, the phased processes, and the
-        droop rates of the active configuration.
+        droop rates of the active configuration. Returns each process
+        paired with its ``duration_s``, the completion reschedule's
+        inputs until then.
 
         ``_integrate_to`` adds the rows' deltas straight into the
         registers, so the checks the counter, progress and droop methods
@@ -1099,7 +1054,7 @@ class ServerSystem:
         pmds = state.active_pmds
         if not pmds:
             self._droop_rates = None
-            return
+            return durations
         self._droop_freq = state.max_active_frequency()
         activity = sum(
             proc_states[p.pid].effective_activity for p in running
@@ -1118,25 +1073,17 @@ class ServerSystem:
                     f"droop bin {bin_mv}: negative rate {rate}"
                 )
         self._droop_rates = rates
+        return durations
 
     def _recompute_power(self, state: ChipState) -> None:
+        # Evaluated at leakage multiplier 1.0 and kept, so clean thermal
+        # refreshes only rescale its leakage term.
+        self._power_base = self.power_model.chip_power(
+            state, self._activity_map, self._bw_util
+        )
         if self.thermal is None:
-            self._power_w = self.power_model.chip_power(
-                state, self._activity_map, self._bw_util
-            ).total_w
-        elif self.full_refresh:
-            self._power_w = self.power_model.chip_power(
-                state,
-                self._activity_map,
-                self._bw_util,
-                leakage_multiplier=self.thermal.leakage_multiplier(),
-            ).total_w
+            self._power_w = self._power_base.total_w
         else:
-            # Evaluated at multiplier 1.0 and kept, so clean thermal
-            # refreshes only rescale its leakage term.
-            self._power_base = self.power_model.chip_power(
-                state, self._activity_map, self._bw_util
-            )
             self._power_w = self._power_base.total_with_leakage_w(
                 self.thermal.leakage_multiplier()
             )
@@ -1153,9 +1100,9 @@ class ServerSystem:
     ) -> None:
         """Move each running process's finish (and phase) event to the
         instant its current rate reaches; ``durations`` pairs each
-        process with its execution state's ``duration_s``."""
+        process with its execution state's ``duration_s``. A move to the
+        time an event already holds, strictly in the future, is elided."""
         now = self.now
-        elide = not self.full_refresh
         finish_events = self._finish_events
         elided = 0
         # A static profile never has a phase event to move.
@@ -1172,12 +1119,7 @@ class ServerSystem:
                     remaining_s = 0.0
             time_s = now + remaining_s
             old = finish_events.get(pid)
-            if (
-                elide
-                and old is not None
-                and old.time_s == time_s
-                and time_s > now
-            ):
+            if old is not None and old.time_s == time_s and time_s > now:
                 # Identical finish instant strictly in the future: the
                 # pending event already encodes it; skip the churn.
                 elided += 1
@@ -1187,7 +1129,7 @@ class ServerSystem:
                 finish_events[pid] = self.events.schedule(
                     time_s, "finish", pid
                 )
-            if not elide or (phased and process in phased):
+            if phased and process in phased:
                 self._reschedule_phase(process, duration_s)
         self._reschedules_elided += elided
 
@@ -1202,12 +1144,7 @@ class ServerSystem:
         # Progress advances at 1/duration done-fractions per second.
         eta_s = (boundary - process.done_fraction) * duration_s
         time_s = self.now + max(0.0, eta_s)
-        if (
-            not self.full_refresh
-            and old is not None
-            and old.time_s == time_s
-            and time_s > self.now
-        ):
+        if old is not None and old.time_s == time_s and time_s > self.now:
             self._reschedules_elided += 1
             return
         if old is not None:
@@ -1216,32 +1153,33 @@ class ServerSystem:
             time_s, "phase", process.pid
         )
 
-    def _audit_voltage(
+    def _safe_vmin(
         self, state: ChipState, running: List[SimProcess]
-    ) -> None:
-        if self.fault_policy == "off" or not running:
-            return
+    ) -> float:
+        """Thermal-free safe Vmin of a state under its running programs:
+        valid until occupancy, clocks or behaviours change (it does not
+        depend on the rail voltage)."""
         workload_delta = max(
             p.current_profile().vmin_delta_mv for p in running
         )
-        required = self.vmin_model.safe_vmin_for_state(
+        return self.vmin_model.safe_vmin_for_state(
             state, workload_delta_mv=workload_delta
         )
-        #: Thermal-free safe level; valid until occupancy, clocks or
-        #: behaviours change (it does not depend on the rail voltage).
-        self._required_base = required
-        if self.thermal is not None:
-            required += self.thermal.vmin_shift_mv()
-        self._check_rail(state, required)
+
+    def _audit_voltage(
+        self, state: ChipState, running: List[SimProcess]
+    ) -> None:
+        """Full-refresh audit; caches the safe level it computes."""
+        if self.fault_policy == "off" or not running:
+            return
+        self._required_base = self._safe_vmin(state, running)
+        self._check_rail(state, self._required_base)
 
     def _audit_cached(self, state: ChipState) -> None:
         """Clean-refresh audit against the cached safe-Vmin level."""
         if self.fault_policy == "off" or not self._running:
             return
-        required = self._required_base
-        if self.thermal is not None:
-            required += self.thermal.vmin_shift_mv()
-        self._check_rail(state, required)
+        self._check_rail(state, self._required_base)
 
     def _audit_step(self) -> None:
         """Safety audit between coalesced same-timestamp events.
@@ -1255,17 +1193,14 @@ class ServerSystem:
         if self.fault_policy == "off" or not self._running:
             return
         state = self.chip.state()
-        workload_delta = max(
-            p.current_profile().vmin_delta_mv for p in self._running
-        )
-        required = self.vmin_model.safe_vmin_for_state(
-            state, workload_delta_mv=workload_delta
-        )
+        self._check_rail(state, self._safe_vmin(state, self._running))
+
+    def _check_rail(self, state: ChipState, safe_vmin: float) -> None:
+        """Record (or raise on) a rail below ``safe_vmin`` plus the
+        thermal shift."""
+        required = safe_vmin
         if self.thermal is not None:
             required += self.thermal.vmin_shift_mv()
-        self._check_rail(state, required)
-
-    def _check_rail(self, state: ChipState, required: float) -> None:
         if state.voltage_mv < required - 1e-9:
             record = ViolationRecord(
                 time_s=self.now,
@@ -1274,7 +1209,6 @@ class ServerSystem:
             )
             self.violations.append(record)
             if self.fault_policy == "raise":
-                self._crashed = True
                 raise SystemCrash(
                     state.voltage_mv,
                     f"rail at {state.voltage_mv} mV below safe Vmin "

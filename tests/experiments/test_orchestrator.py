@@ -264,3 +264,23 @@ class TestWorkerEntryPoint:
         assert outcome.elapsed_s >= 0.0
         assert outcome.cache.misses > 0
         assert any(tmp_path.iterdir())
+
+
+class TestReferenceSwitch:
+    def test_env_var_reaches_pool_workers(self, monkeypatch):
+        # Two experiments, so the batch fans out over the pool: every
+        # worker's replays must run on the reference simulator too.
+        from repro.telemetry import names
+
+        monkeypatch.setenv("REPRO_SIM_FULL_REFRESH", "1")
+        summary = orchestrator.run_experiments(
+            ["table3", "table4"],
+            jobs=2,
+            platform="xgene2",
+            collect_telemetry=True,
+        )
+        assert len(summary.outcomes) == 2
+        for outcome in summary.outcomes:
+            counters = outcome.metrics["counters"]
+            assert counters[names.SIM_REFRESH_INCREMENTAL] == 0
+            assert counters[names.SIM_REFRESH_FULL] > 0

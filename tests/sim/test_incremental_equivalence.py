@@ -4,7 +4,7 @@ The simulator's incremental hot path (dirty-set refresh, execution-state
 cache, reschedule elision, same-timestamp coalescing, per-tick
 integration rows) claims *bit-for-bit* identity with the original
 recompute-everything flow, which survives as
-``ServerSystem(full_refresh=True)``. These properties replay random
+:class:`~repro.sim.reference.ReferenceServerSystem`. These properties replay random
 workloads (phased benchmarks included) under both modes and compare
 every observable of the run — per-process and per-core PMU counters,
 droop detections and the daemon's classification count among them —
@@ -19,12 +19,14 @@ monitor periods still in the queue — and covers nothing beyond.
 import json
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.core.classifier import L3RateClassifier
 from repro.core.policy import VminPolicyTable
+from repro.errors import SystemCrash
 from repro.perf.contention import bandwidth_utilization, contention_factor
 from repro.perf.model import bandwidth_demand_gbs, execution_state
 from repro.platform.chip import Chip
@@ -34,7 +36,8 @@ from repro.power.model import PowerModel
 from repro.policies.daemon import OnlineMonitoringDaemon
 from repro.policies.governors import BaselinePolicy
 from repro.policies.safevmin import SafeVminPolicy
-from repro.policies.surfaces import Policy
+from repro.policies.surfaces import Action, Policy
+from repro.sim.reference import ReferenceServerSystem
 from repro.sim.system import ServerSystem
 from repro.telemetry.manifest import canonical_json
 from repro.workloads.generator import JobSpec, Workload
@@ -184,12 +187,11 @@ def observables(result, system):
 
 def run_both(workload, make_policy, spec=SPEC2, **kwargs):
     outcomes = []
-    for full_refresh in (False, True):
-        system = ServerSystem(
+    for simulator in (ServerSystem, ReferenceServerSystem):
+        system = simulator(
             Chip(spec),
             workload,
             make_policy(),
-            full_refresh=full_refresh,
             **kwargs,
         )
         outcomes.append(observables(system.run(), system))
@@ -200,18 +202,92 @@ def run_both_thermal(workload, make_policy, spec, ambient_c):
     """Both modes with a fresh thermal model each; adds the
     junction-temperature series to the compared observables."""
     outcomes = []
-    for full_refresh in (False, True):
-        system = ServerSystem(
+    for simulator in (ServerSystem, ReferenceServerSystem):
+        system = simulator(
             Chip(spec),
             workload,
             make_policy(),
             thermal_model=ThermalModel(spec, ambient_c=ambient_c),
-            full_refresh=full_refresh,
         )
         observed = observables(system.run(), system)
         observed["temperature_series"] = list(system.temperature_series)
         outcomes.append(observed)
     return outcomes
+
+
+def crash_both(workload, make_policy, spec=SPEC2):
+    """Both simulators under ``fault_policy="raise"``.
+
+    Returns, per simulator, the crash ``(message, time)`` (``None`` when
+    the run completes) and the observables: the violations and energy
+    after a crash, every field of :func:`observables` otherwise.
+    """
+    outcomes = []
+    for simulator in (ServerSystem, ReferenceServerSystem):
+        system = simulator(
+            Chip(spec), workload, make_policy(), fault_policy="raise"
+        )
+        try:
+            result = system.run()
+        except SystemCrash as crash:
+            outcomes.append((
+                (str(crash), system.now),
+                {
+                    "violations": [
+                        (v.time_s, v.voltage_mv, v.required_mv)
+                        for v in system.violations
+                    ],
+                    "energy_j": system.meter.energy_j,
+                },
+            ))
+        else:
+            outcomes.append((None, observables(result, system)))
+    return outcomes
+
+
+class _UndervoltAt(BaselinePolicy):
+    """Baseline that settles the rail at ``voltage_mv`` on its
+    ``step``-th decision, as an error-prone trim would."""
+
+    def __init__(self, step, voltage_mv):
+        super().__init__()
+        self.step = step
+        self.voltage_mv = voltage_mv
+        self.decisions = 0
+
+    def decide(self, obs):
+        action = super().decide(obs)
+        self.decisions += 1
+        if self.decisions == self.step:
+            action = action or Action()
+            action.voltage_mv = self.voltage_mv
+        return action
+
+
+def optimistic_table(spec, table, cut_mv):
+    """``table`` with every entry ``cut_mv`` lower: a daemon reading it
+    undervolts wherever the cut eats the workload's Vmin margin."""
+    return VminPolicyTable(
+        spec,
+        {(r.freq_class, r.droop_class): r.vmin_mv - cut_mv for r in table.rows()},
+    )
+
+
+@st.composite
+def bunched_workloads(draw):
+    """``workloads()`` with every arrival moved onto a 5 s grid, so
+    several jobs often arrive at one instant."""
+    workload = draw(workloads())
+    jobs = tuple(
+        JobSpec(
+            job.job_id,
+            job.benchmark,
+            job.nthreads,
+            5.0 * draw(st.integers(0, 3)),
+        )
+        for job in workload.jobs
+    )
+    return Workload(jobs=jobs, duration_s=300.0, max_cores=8, seed=0)
 
 
 class TestIncrementalEquivalence:
@@ -365,6 +441,67 @@ class TestIncrementalEquivalence:
         fast, oracle = run_both(workload, make_policy)
         assert fast == oracle
 
+    @given(
+        st.one_of(workloads(), bunched_workloads()),
+        st.integers(1, 40),
+        st.integers(700, 970),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_baseline_undervolt_raise_bit_identical(
+        self, workload, step, voltage_mv
+    ):
+        # Coalescing stays on under ``raise``: a crash inside a batch
+        # comes from the audit between two same-instant events, where
+        # the reference's per-event refresh audits the same state.
+        fast, oracle = crash_both(
+            workload, lambda: _UndervoltAt(step, voltage_mv)
+        )
+        assert fast == oracle
+
+    @given(st.one_of(workloads(), bunched_workloads()), st.integers(0, 80))
+    @settings(max_examples=15, deadline=None)
+    def test_daemon_undervolt_raise_bit_identical(self, workload, cut_mv):
+        # A plain daemon folds its quiet ticks under ``raise`` too.
+        table = optimistic_table(SPEC2, POLICY2, cut_mv)
+        fast, oracle = crash_both(
+            workload, lambda: OnlineMonitoringDaemon(SPEC2, policy=table)
+        )
+        assert fast == oracle
+
+    def test_raise_crash_inside_coalesced_batch(self):
+        # Two jobs arrive at t=5; the first one's STARTED decision (the
+        # policy's third) settles the rail far too low. The fast path
+        # crashes in the audit before the second arrival of the batch,
+        # the reference in the refresh after the first.
+        workload = Workload(
+            jobs=(JobSpec(0, "namd", 4, 5.0), JobSpec(1, "mcf", 1, 5.0)),
+            duration_s=60.0,
+            max_cores=8,
+            seed=0,
+        )
+        systems, crashes = [], []
+        for simulator in (ServerSystem, ReferenceServerSystem):
+            system = simulator(
+                Chip(SPEC2),
+                workload,
+                _UndervoltAt(3, 700),
+                fault_policy="raise",
+            )
+            with pytest.raises(SystemCrash) as crash:
+                system.run()
+            systems.append(system)
+            crashes.append(str(crash.value))
+        fast, oracle = systems
+        assert fast.now == oracle.now == 5.0
+        assert crashes[0] == crashes[1]
+        assert fast.violations and fast.violations == oracle.violations
+        # Both crash between the two arrivals: the fast path after
+        # popping the second into its batch, the reference before.
+        assert fast._event_counts == oracle._event_counts
+        assert fast._event_counts["arrival"] == 1
+        assert fast.events.peek_time() is None
+        assert oracle.events.peek_time() == 5.0
+
     def test_env_var_forces_oracle(self, monkeypatch):
         workload = Workload(
             jobs=(JobSpec(0, "mcf", 1, 0.0),),
@@ -376,12 +513,12 @@ class TestIncrementalEquivalence:
         system = ServerSystem(
             Chip(SPEC2), workload, BaselinePolicy()
         )
-        assert system.full_refresh
+        assert type(system) is ReferenceServerSystem
         monkeypatch.setenv("REPRO_SIM_FULL_REFRESH", "0")
         system = ServerSystem(
             Chip(SPEC2), workload, BaselinePolicy()
         )
-        assert not system.full_refresh
+        assert type(system) is ServerSystem
 
 
 class TestIncrementalDeterminism:

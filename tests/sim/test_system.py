@@ -16,6 +16,7 @@ from repro.policies.ed2p import Ed2pPolicy
 from repro.policies.governors import BaselinePolicy
 from repro.policies.surfaces import Action, Policy, PolicyEvent
 from repro.sim import system as system_module
+from repro.sim.reference import ReferenceServerSystem
 from repro.sim.system import ServerSystem
 from repro.vmin.droop import DroopModel
 from repro.workloads.generator import JobSpec, Workload
@@ -385,21 +386,19 @@ FOLD_JOBS = [
 ]
 
 
-def replay_both(make_policy, make_thermal=None, **kwargs):
-    """``FOLD_JOBS`` on the fast path and on the full-refresh oracle.
+def replay_both(make_policy, make_thermal=None):
+    """``FOLD_JOBS`` on the fast path and on the reference simulator.
 
     Returns ``(system, observables)`` per path, the policies built
     fresh for each.
     """
     runs = []
-    for full_refresh in (False, True):
-        system = ServerSystem(
+    for simulator in (ServerSystem, ReferenceServerSystem):
+        system = simulator(
             Chip(SPEC2),
             make_workload(FOLD_JOBS),
             policy=make_policy(),
             thermal_model=make_thermal() if make_thermal else None,
-            full_refresh=full_refresh,
-            **kwargs,
         )
         observed = observables(system.run(), system)
         observed["temperatures"] = list(system.temperature_series)
@@ -467,9 +466,26 @@ class TestQuietTickFolding:
             daemon, make_thermal=lambda: ThermalModel(SPEC2, ambient_c=45.0)
         )
 
-    def test_fault_policy_raise_not_folded(self):
-        self.assert_unfolded(daemon, fault_policy="raise")
-
     def test_ed2p_daemon_not_folded(self):
         # A subclass inherits the hooks but not the right to use them.
         self.assert_unfolded(lambda: Ed2pPolicy(SPEC2, policy=TABLE2))
+
+
+class TestReferenceSimulator:
+    def test_reference_never_elides_a_reschedule(self):
+        # Outputs cannot tell an eliding reference from the real one:
+        # only the queue counts can. With static profiles and no
+        # same-instant events, the fast path saves exactly one cancel
+        # and one schedule per elided reschedule.
+        (fast, _), (reference, _) = replay_both(daemon)
+        elided = fast._reschedules_elided
+        assert elided > 0
+        assert reference._reschedules_elided == 0
+        assert (
+            reference.events.scheduled_total
+            == fast.events.scheduled_total + elided
+        )
+        assert (
+            reference.events.cancelled_total
+            == fast.events.cancelled_total + elided
+        )

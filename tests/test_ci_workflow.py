@@ -215,6 +215,27 @@ def test_verify_job_gates_full_refresh_oracle_on_golden(workflow):
     )
 
 
+def test_verify_job_proves_the_oracle_ran_the_reference(workflow):
+    # The fast path prints the golden bytes too: only the manifest's
+    # refresh counters show the variable reached every replay.
+    steps = workflow["jobs"]["verify"]["steps"]
+    oracle = next(
+        str(step["run"])
+        for step in steps
+        if "REPRO_SIM_FULL_REFRESH=1 repro run-all" in str(step.get("run"))
+    )
+    assert "--summary-json manifest_full_refresh.json" in oracle
+    check = next(
+        str(step["run"])
+        for step in steps
+        if "manifest_full_refresh.json" in str(step.get("run"))
+        and "repro run-all" not in str(step["run"])
+    )
+    assert "c['sim.refresh.incremental']" in check
+    assert "c['sim.refresh.full']" in check
+    assert "seen[0] == 0 and seen[1] > 0" in check
+
+
 def test_verify_job_gates_on_structured_manifest(workflow):
     job = workflow["jobs"]["verify"]
     text = _steps_text(job)
